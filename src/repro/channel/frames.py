@@ -261,8 +261,8 @@ class SouthboundLink:
         frames = self._frames
         if not frames:
             return
-        frame_ps = self.frame_ps
-        stale = [idx for idx in frames if (idx + 1) * frame_ps <= time_ps]
+        last = time_ps // self.frame_ps - 1  # frames ending by time_ps
+        stale = [idx for idx in frames if idx <= last]
         for idx in stale:
             del frames[idx]
 
@@ -349,8 +349,7 @@ class NorthboundLink:
         taken = self._taken
         if not taken:
             return
-        frame_ps = self.frame_ps
-        horizon = time_ps - self.phase_ps - frame_ps
-        stale = [idx for idx in taken if idx * frame_ps <= horizon]
+        last = (time_ps - self.phase_ps - self.frame_ps) // self.frame_ps
+        stale = [idx for idx in taken if idx <= last]
         for idx in stale:
             del taken[idx]

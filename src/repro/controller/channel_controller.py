@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Deque, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Deque, Iterable, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.bank import Bank
@@ -61,12 +61,22 @@ class ChannelControllerBase:
         self.stats = stats
         self.read_q: Deque[MemoryRequest] = deque()
         self.write_q: Deque[MemoryRequest] = deque()
-        self.scheduler = HitFirstScheduler(config.write_drain_threshold)
-        # Cached bound methods for the kick loop: building the bound-method
-        # objects anew on every select call is measurable at this call rate.
+        self.scheduler = HitFirstScheduler(
+            config.write_drain_threshold, units=config.dimms_per_channel
+        )
         self._select = self.scheduler.select
-        self._estimate_fn = self._estimate
-        self._is_hit_fn = self._is_hit
+        #: Probe epoch per DIMM/AMB (the scheduler's list), bumped through
+        #: _bump/_bump_all wherever state _estimate/_is_hit read changes:
+        #: an issue, a refresh, an AMB fill commit, a controller-buffer
+        #: commit, a fault degraded-mode flip.  Each bump draws a fresh
+        #: value from the channel version.
+        self._epochs = self.scheduler.epochs
+        self._version = 0
+        #: Last future-ready pick, reused while now is below its horizon
+        #: and (version, queue lengths) still equal the key it was made at.
+        self._memo_horizon = 0
+        self._memo_key = (-1, 0, 0)
+        self._memo_choice: "Optional[tuple[MemoryRequest, int, bool]]" = None
         # Separate read/write in-flight caps: a write drain may not
         # monopolise the issue pipeline and starve ready reads (writes are
         # posted; reads are latency-critical).
@@ -79,7 +89,7 @@ class ChannelControllerBase:
         #: A kick at the current time can never be preempted by an earlier
         #: one, so it needs no cancellation handle — only this dedupe mark.
         self._wake_now_tick = -1
-        self._pruned_at = -1  # last tick _prune ran (idempotent within one)
+        self._pruned_at = -1  # last tick _prune ran (before an issue)
         #: Optional request-lifecycle tracer (assigned by MemoryController);
         #: every hook site is a no-op when this stays None.
         self.tracer: "Optional[Tracer]" = None
@@ -91,6 +101,7 @@ class ChannelControllerBase:
 
     def submit(self, req: MemoryRequest) -> None:
         """Accept a mapped, schedulable request into this channel's queues."""
+        req.unit = req.mapped.dimm
         if req.kind is RequestKind.WRITE:
             self.write_q.append(req)
         else:
@@ -121,16 +132,20 @@ class ChannelControllerBase:
 
     _EMPTY: Deque[MemoryRequest] = deque()
 
+    def _bump(self, unit: int) -> None:
+        """State behind ``unit``'s probes changed: its cached probes are stale."""
+        self._version += 1
+        self._epochs[unit] = self._version
+
+    def _bump_all(self) -> None:
+        self._version += 1
+        epochs = self._epochs
+        epochs[:] = [self._version] * len(epochs)  # in place: shared list
+
     def _kick(self) -> None:
         self._wake = None
         self._wake_now_tick = -1
         now = self.sim.now
-        if now != self._pruned_at:
-            # prune_before(now) is idempotent at a fixed now (reservations
-            # never end in the past), so repeated kicks within one tick
-            # skip the rescan without changing any backfill search.
-            self._prune(now)
-            self._pruned_at = now
         while True:
             reads = self.read_q if self.inflight_reads < self.max_read_inflight else self._EMPTY
             writes = (
@@ -140,15 +155,38 @@ class ChannelControllerBase:
             )
             if not reads and not writes:
                 return
-            choice = self._select(
-                now, reads, writes, self._estimate_fn, self._is_hit_fn
-            )
-            if choice is None:
-                return
-            req, est, from_writes = choice
+            # Same version and queue lengths mean the same queued requests
+            # in the same unit states (queues only grow between issues, and
+            # every issue bumps), and select's write-drain hysteresis is
+            # idempotent at fixed lengths; below the horizon no scanned
+            # candidate can have become ready.  So select would repeat the
+            # last future-ready pick exactly.
+            if now < self._memo_horizon and self._memo_key == (
+                self._version, len(reads), len(writes)
+            ):
+                memo = self._memo_choice
+                assert memo is not None
+                req, est, from_writes = memo
+            else:
+                choice = self._select(
+                    now, reads, writes, self._estimate, self._is_hit
+                )
+                if choice is None:
+                    return
+                req, est, from_writes = choice
+                if est > now:
+                    self._memo_horizon = self.scheduler.horizon
+                    self._memo_key = (self._version, len(reads), len(writes))
+                    self._memo_choice = choice
             if est > now:
                 self._request_kick(est)
                 return
+            if self._pruned_at != now:
+                # Only an issue searches or books reservations, so pruning
+                # at the first issue of a tick equals pruning at every
+                # kick: prune(t1) then prune(t2) == prune(t2).
+                self._prune(now)
+                self._pruned_at = now
             if from_writes:
                 self.write_q.remove(req)
                 self.inflight_writes += 1
@@ -160,12 +198,14 @@ class ChannelControllerBase:
                 self.tracer.on_issue(req, now)
             self.stats.note_activity(now)
             self._issue(req)
+            self._version = version = self._version + 1  # inlined _bump
+            self._epochs[req.unit] = version
 
-    def _start_refresh(self, rank_banks: Sequence[Sequence[Bank]]) -> None:
+    def _start_refresh(self, units: "Sequence[Union[Amb, Ddr2Dimm]]") -> None:
         """Arm periodic all-bank refresh per rank, staggered across ranks.
 
-        Each entry of ``rank_banks`` is one rank's bank list; every tREFI
-        that rank takes exactly one all-bank REF (a tRFC blackout on all
+        ``units`` are the channel's DIMMs (or AMBs); every tREFI each of
+        their ranks takes exactly one all-bank REF (a tRFC blackout on all
         its banks), with rank offsets spread across the interval so the
         whole channel never refreshes at once.
 
@@ -180,38 +220,46 @@ class ChannelControllerBase:
         if interval <= 0:
             return
         trfc = to_ps(self.config.refresh_cycle_ns)
-        for index, banks in enumerate(rank_banks):
+        per_rank = self.config.banks_per_dimm
+        rank_banks = [
+            (unit, dimm.banks[r * per_rank:(r + 1) * per_rank])
+            for unit, dimm in enumerate(units)
+            for r in range(self.config.ranks_per_dimm)
+        ]
+
+        def loop(unit: int, banks: Sequence[Bank]) -> None:
+            for bank in banks:
+                bank.refresh(self.sim.now, trfc)
+            self._bump(unit)
+            self.sim.schedule_fire(self.sim.now + interval, partial(loop, unit, banks))
+
+        for index, (unit, banks) in enumerate(rank_banks):
             offset = (interval * index) // max(1, len(rank_banks))
-
-            def loop(banks: Sequence[Bank] = banks) -> None:
-                for bank in banks:
-                    bank.refresh(self.sim.now, trfc)
-                self.sim.schedule_fire(self.sim.now + interval, lambda: loop(banks))
-
-            self.sim.schedule_fire(offset + interval, lambda b=banks: loop(b))
+            self.sim.schedule_fire(offset + interval, partial(loop, unit, banks))
 
     def _finish_at(self, req: MemoryRequest, finish_time: int) -> None:
         """Schedule the completion event for an issued transaction."""
         self.sim.schedule_fire(finish_time, partial(self._complete, req))
 
     def _complete(self, req: MemoryRequest) -> None:
+        now = self.sim.now
+        stats = self.stats
+        stats.note_activity(now)
         if req.kind is RequestKind.WRITE:
             self.inflight_writes -= 1
+            stats.record_write_completion(self.config.cacheline_bytes)
         else:
             self.inflight_reads -= 1
-        now = self.sim.now
-        self.stats.note_activity(now)
-        queue_delay = max(0, req.issue_time - req.schedulable_at)
-        if req.kind is RequestKind.WRITE:
-            self.stats.record_write_completion(self.config.cacheline_bytes)
-        else:
-            self.stats.record_read_completion(
-                latency_ps=now - req.arrival,
-                queue_delay_ps=queue_delay,
-                is_demand=req.kind is RequestKind.DEMAND_READ,
-                amb_hit=req.amb_hit,
-                line_bytes=self.config.cacheline_bytes,
-                core_id=req.core_id,
+            queue_delay = req.issue_time - req.schedulable_at
+            # Positional on this per-read path: latency, queueing delay,
+            # is_demand, amb_hit, line bytes, core.
+            stats.record_read_completion(
+                now - req.arrival,
+                queue_delay if queue_delay > 0 else 0,
+                req.kind is RequestKind.DEMAND_READ,
+                req.amb_hit,
+                self.config.cacheline_bytes,
+                req.core_id,
             )
             if req.amb_hit and self.lifecycle is not None:
                 # Counted at completion, exactly like amb_hits, so the
@@ -295,12 +343,7 @@ class Ddr2ChannelController(ChannelControllerBase):
             Ddr2Dimm(config, timing, channel_id, d, self.data_bus, self.command_bus)
             for d in range(config.dimms_per_channel)
         ]
-        per_rank = config.banks_per_dimm
-        self._start_refresh([
-            dimm.banks[r * per_rank:(r + 1) * per_rank]
-            for dimm in self.dimms
-            for r in range(config.ranks_per_dimm)
-        ])
+        self._start_refresh(self.dimms)
 
     def _prune(self, now: int) -> None:
         # Emptiness guards saved here beat the (very frequent) no-op calls.
@@ -314,9 +357,7 @@ class Ddr2ChannelController(ChannelControllerBase):
         dimm = self.dimms[mapped.dimm]
         rank = mapped.rank
         bank = dimm.banks[rank * dimm._banks_per_dimm + mapped.bank]
-        return bank.earliest_start(
-            self.sim.now, mapped.row, dimm.rank_timers[rank]
-        )
+        return bank.earliest_start(0, mapped.row, dimm.rank_timers[rank])
 
     def _is_hit(self, req: MemoryRequest) -> bool:
         mapped = req.mapped
@@ -393,21 +434,10 @@ class FbdimmChannelController(ChannelControllerBase):
         self.ambs = [
             Amb(config, timing, channel_id, d) for d in range(config.dimms_per_channel)
         ]
-        per_rank = config.banks_per_dimm
-        self._start_refresh([
-            amb.banks[r * per_rank:(r + 1) * per_rank]
-            for amb in self.ambs
-            for r in range(config.ranks_per_dimm)
-        ])
+        self._start_refresh(self.ambs)
         self.prefetch = config.prefetch
         self._pf_enabled = config.prefetch.enabled
         self._region_lines = config.prefetch.region_cachelines
-        # One-entry probe memo: the scheduler always calls _estimate(req)
-        # before _is_hit(req) with no state change in between, so the
-        # second availability probe of the same request can reuse the
-        # first's answer.  _probe_cache stays side-effect-free either way.
-        self._probe_memo_req: Optional[MemoryRequest] = None
-        self._probe_memo_avail: Optional[int] = None
         #: CRC retry/replay engine (None keeps the exact seed timing path).
         self.faults: Optional[ChannelFaults] = None
         #: Request currently inside _issue — context for the retry tracer
@@ -416,6 +446,8 @@ class FbdimmChannelController(ChannelControllerBase):
         if faults is not None and faults.enabled:
             self.faults = ChannelFaults(faults, config.frame_ps, channel_id, stats)
             self.faults.on_retry = self._on_fault_retry
+            # Degraded mode turns prefetch probes off channel-wide.
+            self.faults.on_degraded = self._bump_all
             self.links.faults = self.faults
             for amb in self.ambs:
                 amb.faults = self.faults
@@ -475,22 +507,16 @@ class FbdimmChannelController(ChannelControllerBase):
 
     def _probe_cache(self, amb: Amb, line_addr: int) -> Optional[int]:
         """Stat-free availability probe used while scheduling."""
-        region = line_addr // self._region_lines
         if self.mc_table is not None:
-            if self.mc_table.contains(line_addr):
-                return 0
-            pending = self.mc_pending.get(region)
-            if pending is not None and line_addr in pending:
-                return pending[line_addr]
-            return None
-        if amb.table is None:
-            return None
-        if amb.table.contains(line_addr):
+            table, pending_fills = self.mc_table, self.mc_pending
+        else:
+            table, pending_fills = amb.table, amb.pending_fills
+            if table is None:
+                return None
+        if table.contains(line_addr):
             return 0
-        pending = amb.pending_fills.get(region)
-        if pending is not None and line_addr in pending:
-            return pending[line_addr]
-        return None
+        pending = pending_fills.get(line_addr // self._region_lines)
+        return None if pending is None else pending.get(line_addr)
 
     def _prefetch_active(self) -> bool:
         """Prefetching is configured and the channel has not degraded.
@@ -507,21 +533,16 @@ class FbdimmChannelController(ChannelControllerBase):
     def _estimate(self, req: MemoryRequest) -> int:
         mapped = req.mapped
         amb = self.ambs[mapped.dimm]
-        # Inlined _prefetch_active() + _probe_cache(): this runs once per
-        # scheduler candidate per kick, the hottest probe in the FBD model.
+        # Inlined _prefetch_active(): the AMB-cache (or controller-buffer)
+        # availability time is the raw start of a prefetch hit.
         if req.kind is not RequestKind.WRITE and self._pf_enabled and (
             self.faults is None or not self.faults.degraded
         ):
             avail = self._probe_cache(amb, req.line_addr)
-            self._probe_memo_req = req
-            self._probe_memo_avail = avail
             if avail is not None:
-                now = self.sim.now
-                return now if now >= avail else avail
+                return avail
         bank = amb.banks[mapped.rank * amb._banks_per_dimm + mapped.bank]
-        return bank.earliest_start(
-            self.sim.now, mapped.row, amb.rank_timers[mapped.rank]
-        )
+        return bank.earliest_start(0, mapped.row, amb.rank_timers[mapped.rank])
 
     def _is_hit(self, req: MemoryRequest) -> bool:
         mapped = req.mapped
@@ -529,11 +550,7 @@ class FbdimmChannelController(ChannelControllerBase):
         if req.kind is not RequestKind.WRITE and self._pf_enabled and (
             self.faults is None or not self.faults.degraded
         ):
-            if self._probe_memo_req is req:
-                avail = self._probe_memo_avail
-            else:
-                avail = self._probe_cache(amb, req.line_addr)
-            if avail is not None:
+            if self._probe_cache(amb, req.line_addr) is not None:
                 return True
         return amb.banks[
             mapped.rank * amb._banks_per_dimm + mapped.bank
@@ -608,8 +625,14 @@ class FbdimmChannelController(ChannelControllerBase):
             self.tracer.on_data(req, group.demanded_start)
         ret = self.links.return_read(group.demanded_start, req.mapped.dimm)
         region = req.line_addr // self.prefetch.region_cachelines
-        self.sim.schedule_fire(group.last_fill, partial(amb.commit_fills, region))
+        self.sim.schedule_fire(
+            group.last_fill, partial(self._commit_fills, amb, region)
+        )
         self._finish_at(req, ret.critical_at_mc)
+
+    def _commit_fills(self, amb: Amb, region: int) -> None:
+        amb.commit_fills(region)
+        self._bump(amb.dimm_id)
 
     def _issue_read_mc_prefetching(self, req: MemoryRequest) -> None:
         """PrefetchLocation.CONTROLLER: the whole region crosses the channel.
@@ -663,6 +686,9 @@ class FbdimmChannelController(ChannelControllerBase):
         self.mc_prefetched_lines += len(fills)
         if fills:
             self.mc_pending[region] = fills
+            # The buffer is channel-wide and the region's lines need not
+            # map to this request's DIMM.
+            self._bump_all()
             if self.lifecycle is not None:
                 self.lifecycle.on_issue(fills)
             last_fill = max(fills.values())
@@ -673,6 +699,7 @@ class FbdimmChannelController(ChannelControllerBase):
                     if self.lifecycle is not None:
                         self.lifecycle.on_fill(done)
                     self.mc_table.insert(done.keys())
+                    self._bump_all()  # inserts may evict any DIMM's line
 
             self.sim.schedule_fire(last_fill, commit)
         self._finish_at(req, demanded_finish)

@@ -65,7 +65,7 @@ class PrefetchTable:
 
     def contains(self, line_addr: int) -> bool:
         """Probe without touching statistics or replacement state."""
-        return line_addr in self._set_for(line_addr)
+        return line_addr in self._sets[line_addr % self.num_sets]
 
     def insert(self, line_addrs: Iterable[int]) -> int:
         """Install prefetched lines; returns the number of evictions.

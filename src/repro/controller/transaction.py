@@ -38,12 +38,21 @@ class MemoryRequest:
     Identity semantics: ``req_id`` is unique per request, so equality is
     identity — which keeps the controllers' ``deque.remove`` calls at
     pointer-compare cost on the issue hot path.
+
+    Probe cache: while queued, a request remembers the scheduler's last
+    probe of it — ``probe_start`` (the raw earliest start, floored at
+    ``schedulable_at`` but not clamped to ``now``) and ``probe_hit`` —
+    tagged with ``probe_epoch``, the epoch of its ``unit`` (the DIMM/AMB
+    it maps to) when it was probed.  The entry is fresh while that unit's
+    epoch is unchanged; see
+    :class:`~repro.controller.scheduler.HitFirstScheduler`.
     """
 
     __slots__ = (
         "kind", "line_addr", "core_id", "arrival", "mapped", "on_complete",
         "req_id", "schedulable_at", "issue_time", "finish_time",
         "amb_hit", "row_hit",
+        "unit", "probe_epoch", "probe_start", "probe_hit",
     )
 
     def __init__(
@@ -68,6 +77,10 @@ class MemoryRequest:
         self.finish_time = -1  # critical data at the controller / write retired
         self.amb_hit = False  # served from the AMB cache
         self.row_hit = False  # open-page row-buffer hit
+        self.unit = 0  # probe-epoch slot: the DIMM/AMB on its channel
+        self.probe_epoch = -1  # -1: never probed
+        self.probe_start = 0
+        self.probe_hit = False
 
     def __repr__(self) -> str:
         return (

@@ -59,13 +59,16 @@ class BusResource:
         ``earliest >= time_ps`` — which holds because every caller reserves
         at or after the current simulation time.
         """
+        # Reservations never overlap, so ends ascend with starts and the
+        # expired ones are a prefix.
         intervals = self._intervals
+        expired = 0
         for iv in intervals:
-            if iv[1] <= time_ps:
+            if iv[1] > time_ps:
                 break
-        else:
-            return  # nothing expired: skip the rebuild allocation
-        self._intervals = [iv for iv in intervals if iv[1] > time_ps]
+            expired += 1
+        if expired:
+            del intervals[:expired]
 
     def utilisation(self, elapsed_ps: int) -> float:
         """Fraction of ``elapsed_ps`` the bus spent occupied."""

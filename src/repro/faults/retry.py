@@ -53,7 +53,8 @@ class ChannelFaults:
     and shares it with its :class:`~repro.channel.fbdimm_link.FbdimmLinks`
     (link CRC retries) and its AMBs (cache parity).  ``on_retry`` is an
     optional hook ``(kind, time_ps, attempt)`` the controller wires to the
-    telemetry tracer so retry episodes show up as request phases.
+    telemetry tracer so retry episodes show up as request phases;
+    ``on_degraded`` lets the controller drop its cached prefetch probes.
     """
 
     def __init__(
@@ -71,6 +72,8 @@ class ChannelFaults:
         self.degraded = False
         self._streak = 0  # consecutive corrupted transfers
         self.on_retry: Optional[Callable[[str, int, int], None]] = None
+        #: Optional hook fired once, when the channel enters degraded mode.
+        self.on_degraded: Optional[Callable[[], None]] = None
 
     # -- retry state machine ------------------------------------------------
 
@@ -132,6 +135,8 @@ class ChannelFaults:
         if threshold and not self.degraded and self._streak >= threshold:
             self.degraded = True
             self.stats.fault_degraded_entries += 1
+            if self.on_degraded is not None:
+                self.on_degraded()
 
     # -- AMB cache parity ---------------------------------------------------
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import typing
 from typing import Any, Dict, Optional
@@ -158,6 +159,12 @@ def _decode_key(key: str, hint: Any) -> Any:
     return key
 
 
+@functools.lru_cache(maxsize=None)
 def _field_hints(cls: type) -> Dict[str, Any]:
-    """Resolved type hints of a dataclass (PEP 563 strings included)."""
+    """Resolved type hints of a dataclass (PEP 563 strings included).
+
+    Resolved once per class: ``get_type_hints`` re-evaluates every
+    annotation string on each call, which dominated warm cache decodes.
+    Callers must not mutate the returned dict.
+    """
     return typing.get_type_hints(cls)

@@ -5,6 +5,7 @@ The cache and the differential tests rely on serialisation being *exact*:
 so two results can be compared byte-for-byte.
 """
 
+import collections
 import dataclasses
 import json
 from typing import Dict, List, Optional, Tuple
@@ -140,6 +141,34 @@ class TestResultRoundTrip:
         text = result.canonical_json()
         again = SimulationResult.from_dict(json.loads(text))
         assert again.canonical_json() == text
+
+
+class TestHintCache:
+    """Dataclass type hints are resolved once per class, not per decode."""
+
+    def test_repeated_decodes_resolve_each_class_once(self, monkeypatch):
+        import typing
+
+        from repro import serialize
+
+        resolved = collections.Counter()
+        real = typing.get_type_hints
+
+        def counting(cls, *args, **kwargs):
+            resolved[cls] += 1
+            return real(cls, *args, **kwargs)
+
+        serialize._field_hints.cache_clear()
+        monkeypatch.setattr(serialize.typing, "get_type_hints", counting)
+        result = run_system(_small(fbdimm_amb_prefetch(num_cores=2)), ("swim", "applu"))
+        text = result.canonical_json()
+        for _ in range(3):
+            again = SimulationResult.from_dict(json.loads(text))
+            assert again == result
+            assert again.canonical_json() == text
+        assert resolved[SimulationResult] == 1
+        assert resolved[SystemConfig] == 1
+        assert set(resolved.values()) == {1}
 
 
 class TestOptionalFieldElision:
