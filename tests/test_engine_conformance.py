@@ -14,7 +14,8 @@ Coverage:
 * a deterministic slice of every figure module's ``plan(ctx)`` — all
   unique planned runs, normalised the way the experiments layer does;
 * the off-by-default subsystems that ride the hot path when enabled:
-  a faulted run, a timeline-enabled run and a ``check_protocol=True`` run;
+  a faulted run, a timeline-enabled run, a ``check_protocol=True`` run
+  and an observed run (prefetch lifecycle, faults and timeline at once);
 * every non-DDR2 device generation preset (``repro.dram.devices``)
   running the bench scenarios plus the fig05 plan, so refresh scheduling,
   tFAW enforcement and the per-generation timing/energy tables are pinned
@@ -39,6 +40,7 @@ import pytest
 
 from repro.bench.scenarios import _sweep_pairs
 from repro.config import (
+    AmbPrefetchConfig,
     SystemConfig,
     ddr2_baseline,
     fbdimm_amb_prefetch,
@@ -129,7 +131,9 @@ def _bench_cases() -> "dict[str, list]":
 
 
 def _variant_cases() -> "dict[str, list]":
-    """Off-by-default hot-path variants: faulted, timeline, checked."""
+    """Off-by-default hot-path variants: faulted, timeline, checked, and
+    observed (lifecycle, faults and timeline together, the only case whose
+    encoding carries the elided ``pf_*`` counters and window columns)."""
     faulted = fbdimm_amb_prefetch(num_cores=2, logic_channels=2).with_faults(
         error_rate=5e-2, max_retries=3
     )
@@ -140,11 +144,21 @@ def _variant_cases() -> "dict[str, list]":
         fbdimm_amb_prefetch(num_cores=2, logic_channels=2),
         check_protocol=True,
     )
+    observed = (
+        fbdimm_amb_prefetch(
+            num_cores=2, logic_channels=2,
+            prefetch=AmbPrefetchConfig(lifecycle=True),
+        )
+        .with_faults(error_rate=1e-1, amb_bitflip_rate=2e-2,
+                     degraded_threshold=2)
+        .with_timeline(window_ns=500.0)
+    )
     two = ("wupwise", "swim")
     return {
         "variant:faulted": [(_budget(faulted), two)],
         "variant:timeline": [(_budget(timeline), two)],
         "variant:checked": [(_budget(checked), two)],
+        "variant:observed": [(_budget(observed), two)],
     }
 
 
