@@ -7,7 +7,7 @@ Three independent passes (see ``docs/CHECKING.md``):
 * :mod:`repro.check.lint` — the static-analysis engine: a plugin rule
   registry running the determinism rules (wall clocks, unseeded
   ``random``, set iteration, float arithmetic on picosecond times) plus
-  unit-flow, worker shared-state, counter-drift and strict-typing
+  unit-flow, worker shared-state and strict-typing
   analyses (``docs/STATIC_ANALYSIS.md``);
 * :mod:`repro.check.determinism` — thin shim keeping the PR-1
   determinism-only entry points stable;

@@ -6,8 +6,8 @@ Modes (combinable; default with no flags is trace checking):
   command traces (written by ``SystemConfig(check_protocol=True)`` runs
   or by hand; see :mod:`repro.check.trace` for the format);
 * ``python -m repro.check lint [PATH ...]`` — the full static-analysis
-  engine (determinism + unit-flow + shared-state + counter-drift +
-  strict-typing rules; see :mod:`repro.check.lint.cli` for its options);
+  engine (determinism + unit-flow + shared-state + strict-typing
+  rules; see :mod:`repro.check.lint.cli` for its options);
 * ``--self-test`` — run the golden known-bad suites (seeded protocol
   traces and seeded lint fixtures);
 * ``--lint [PATH ...]`` — the four legacy determinism rules only

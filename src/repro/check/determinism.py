@@ -6,7 +6,7 @@ The four original rules (``wall-clock``, ``unseeded-random``,
 entry points (``lint_source`` / ``lint_file`` / ``lint_tree``) and their
 golden outputs byte-identical for existing callers, CI invocations and
 tests.  New code should use the engine directly — it runs these rules
-plus the unit-flow, shared-state, counter-drift and strict-typing
+plus the unit-flow, shared-state and strict-typing
 analyses (``python -m repro.check lint``).
 
 A finding is suppressed by the legacy ``# det: allow`` line comment or

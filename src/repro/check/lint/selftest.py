@@ -30,34 +30,6 @@ def _one(name: str, rel: str, source: str,
     return LintSelfTestCase(name, ((rel, source),), tuple(expect))
 
 
-def _counter_project(
-    collector_extra: str = "",
-    writer: str = "    s.reads += 1\n",
-    report_reads: str = "mem.reads",
-    registry_reads: str = "stats.reads",
-) -> Tuple[Tuple[str, str], ...]:
-    """A minimal stats project: collector + writer + both export surfaces."""
-    collector = (
-        "from dataclasses import dataclass\n"
-        "\n"
-        "@dataclass\n"
-        "class MemSystemStats:\n"
-        "    reads: int = 0\n"
-        + collector_extra
-    )
-    return (
-        ("stats/collector.py", collector),
-        ("controller/mod.py",
-         "def account(s: object) -> None:\n" + writer),
-        ("analysis/report.py",
-         "def run_report(mem: object) -> str:\n"
-         f"    return str({report_reads})\n"),
-        ("telemetry/registry.py",
-         "def registry_from_stats(stats: object) -> object:\n"
-         f"    return ({registry_reads},)\n"),
-    )
-
-
 def cases() -> List[LintSelfTestCase]:
     """All fixture projects (deterministic order)."""
     out: List[LintSelfTestCase] = []
@@ -220,56 +192,6 @@ def cases() -> List[LintSelfTestCase]:
              "if TYPE_CHECKING:\n"
              "    import repro.system\n"),
             ("system.py", shared_bad_system),
-        ),
-        (),
-    ))
-
-    # -- counter-drift ---------------------------------------------------
-    out.append(LintSelfTestCase(
-        "good-counter-all-wired",
-        _counter_project(),
-        (),
-    ))
-    out.append(LintSelfTestCase(
-        "bad-counter-no-increment",
-        _counter_project(
-            collector_extra="    lost_events: int = 0\n",
-            report_reads="mem.reads) + str(mem.lost_events",
-            registry_reads="stats.reads, stats.lost_events",
-        ),
-        ("stat-no-increment",),
-    ))
-    out.append(LintSelfTestCase(
-        "bad-counter-unreported",
-        _counter_project(
-            collector_extra="    ghost: int = 0\n",
-            writer="    s.reads += 1\n    s.ghost += 1\n",
-            registry_reads="stats.reads, stats.ghost",
-        ),
-        ("stat-unreported",),
-    ))
-    out.append(LintSelfTestCase(
-        "bad-counter-unregistered",
-        _counter_project(
-            collector_extra="    ghost: int = 0\n",
-            writer="    s.reads += 1\n    s.ghost += 1\n",
-            report_reads="mem.reads) + str(mem.ghost",
-        ),
-        ("stat-unregistered",),
-    ))
-    out.append(LintSelfTestCase(
-        "good-counter-property-alias",
-        _counter_project(
-            collector_extra=(
-                "    first_ps: int = -1\n"
-                "\n"
-                "    @property\n"
-                "    def window_ps(self) -> int:\n"
-                "        return self.first_ps\n"
-            ),
-            writer="    s.reads += 1\n    s.first_ps = 7\n",
-            report_reads="mem.reads) + str(mem.window_ps",
-            registry_reads="stats.reads, stats.window_ps",
         ),
         (),
     ))

@@ -22,7 +22,10 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Deque, Iterable, Optional, Sequence, Union
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING, Deque, Dict, Iterable, Optional, Sequence, Tuple, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dram.bank import Bank
@@ -34,13 +37,47 @@ from repro.channel.ddr2_bus import Ddr2Dimm
 from repro.channel.fbdimm_link import FbdimmLinks
 from repro.config import FaultConfig, MemoryConfig, PrefetchLocation
 from repro.faults.retry import ChannelFaults
-from repro.controller.prefetch_table import PrefetchTable
+from repro.controller.prefetch_table import PrefetchTable, TableStats
 from repro.controller.scheduler import HitFirstScheduler
 from repro.controller.transaction import MemoryRequest, RequestKind
+from repro.dram.bank import BankStats
 from repro.dram.resources import BusResource, TaggedBusResource
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import Simulator
-from repro.stats.collector import MemSystemStats
+from repro.stats.collector import DEVICE_COUNTERS, MemSystemStats
+
+
+def _fold_pairs(
+    attrs: Iterable[str], prefix: str
+) -> Tuple[Tuple[str, str], ...]:
+    """(source attribute, device counter) pairs of one per-unit stats type.
+
+    A device counter folds the attribute named like it less ``prefix``.
+    """
+    names = set(attrs)
+    return tuple(
+        (name.removeprefix(prefix), name) for name in DEVICE_COUNTERS
+        if name.removeprefix(prefix) in names
+    )
+
+
+#: Bank counters fold into the like-named device counters, RD/WR into
+#: ``column_reads``/``column_writes``.  ``precharges`` mirrors
+#: ``activates`` one-for-one under close page and folds nowhere.
+_BANK_FOLD = _fold_pairs(BankStats.__slots__, "column_")
+#: Tag-store counters fold into the ``pf_table_*`` device counters.
+_TABLE_FOLD = _fold_pairs(
+    (f.name for f in dataclasses.fields(TableStats)), "pf_table_"
+)
+
+
+def _fold(
+    counters: Dict[str, int], pairs: Tuple[Tuple[str, str], ...],
+    sources: Sequence[object],
+) -> None:
+    """Add each ``(attribute, counter)`` pair, summed over ``sources``."""
+    for attr, name in pairs:
+        counters[name] += sum(map(attrgetter(attr), sources))
 
 
 class ChannelControllerBase:
@@ -90,6 +127,8 @@ class ChannelControllerBase:
         #: one, so it needs no cancellation handle — only this dedupe mark.
         self._wake_now_tick = -1
         self._pruned_at = -1  # last tick _prune ran (before an issue)
+        #: The channel's DIMMs (DDR2) or AMBs (FB-DIMM), set by the subclass.
+        self.units: "Sequence[Union[Amb, Ddr2Dimm]]" = ()
         #: Optional request-lifecycle tracer (assigned by MemoryController);
         #: every hook site is a no-op when this stays None.
         self.tracer: "Optional[Tracer]" = None
@@ -201,13 +240,13 @@ class ChannelControllerBase:
             self._version = version = self._version + 1  # inlined _bump
             self._epochs[req.unit] = version
 
-    def _start_refresh(self, units: "Sequence[Union[Amb, Ddr2Dimm]]") -> None:
+    def _start_refresh(self) -> None:
         """Arm periodic all-bank refresh per rank, staggered across ranks.
 
-        ``units`` are the channel's DIMMs (or AMBs); every tREFI each of
-        their ranks takes exactly one all-bank REF (a tRFC blackout on all
-        its banks), with rank offsets spread across the interval so the
-        whole channel never refreshes at once.
+        Every tREFI each rank of the channel's ``units`` takes exactly one
+        all-bank REF (a tRFC blackout on all its banks), with rank offsets
+        spread across the interval so the whole channel never refreshes at
+        once.
 
         Off by default (refresh_interval_ns == 0).  Note: once armed, the
         event queue never drains — run loops must stop via an explicit
@@ -223,7 +262,7 @@ class ChannelControllerBase:
         per_rank = self.config.banks_per_dimm
         rank_banks = [
             (unit, dimm.banks[r * per_rank:(r + 1) * per_rank])
-            for unit, dimm in enumerate(units)
+            for unit, dimm in enumerate(self.units)
             for r in range(self.config.ranks_per_dimm)
         ]
 
@@ -318,9 +357,22 @@ class ChannelControllerBase:
     def _issue(self, req: MemoryRequest) -> None:
         raise NotImplementedError
 
-    def collect_device_counters(self) -> "dict":
-        """Side-effect-free snapshot of device activity (see controller
-        finalize/warmup)."""
+    def collect_device_counters(self) -> Dict[str, int]:
+        """Side-effect-free snapshot of this channel's device counters.
+
+        The controller sums these over its channels for the timeline and
+        baseline-subtracts them at finalize.
+        """
+        counters = dict.fromkeys(DEVICE_COUNTERS, 0)
+        _fold(counters, _BANK_FOLD,
+              [bank.stats for unit in self.units for bank in unit.banks])
+        counters["column_accesses"] = (
+            counters["column_reads"] + counters["column_writes"]
+        )
+        return counters
+
+    def busy_ps(self) -> Dict[str, int]:
+        """Occupancy of this channel's buses or links, by name."""
         raise NotImplementedError
 
 
@@ -343,7 +395,8 @@ class Ddr2ChannelController(ChannelControllerBase):
             Ddr2Dimm(config, timing, channel_id, d, self.data_bus, self.command_bus)
             for d in range(config.dimms_per_channel)
         ]
-        self._start_refresh(self.dimms)
+        self.units = self.dimms
+        self._start_refresh()
 
     def _prune(self, now: int) -> None:
         # Emptiness guards saved here beat the (very frequent) no-op calls.
@@ -388,28 +441,8 @@ class Ddr2ChannelController(ChannelControllerBase):
         events.sort(key=lambda e: e.time_ps)
         return events
 
-    def collect_device_counters(self) -> "dict":
-        """Snapshot of DRAM-operation counts and bus occupancy."""
-        counters = {
-            "activates": 0, "column_accesses": 0, "prefetched_lines": 0,
-            "column_reads": 0, "column_writes": 0, "refreshes": 0,
-            "row_hits": 0, "row_misses": 0,
-            "faw_stalls": 0, "faw_stall_ps": 0,
-            "busy": {self.data_bus.name: self.data_bus.busy_ps},
-        }
-        for dimm in self.dimms:
-            acts, cols = dimm.bank_operation_counts()
-            counters["activates"] += acts
-            counters["column_accesses"] += cols
-            for bank in dimm.banks:
-                counters["column_reads"] += bank.stats.reads
-                counters["column_writes"] += bank.stats.writes
-                counters["refreshes"] += bank.stats.refreshes
-                counters["row_hits"] += bank.stats.row_hits
-                counters["row_misses"] += bank.stats.row_misses
-                counters["faw_stalls"] += bank.stats.faw_stalls
-                counters["faw_stall_ps"] += bank.stats.faw_stall_ps
-        return counters
+    def busy_ps(self) -> Dict[str, int]:
+        return {self.data_bus.name: self.data_bus.busy_ps}
 
 
 class FbdimmChannelController(ChannelControllerBase):
@@ -434,7 +467,8 @@ class FbdimmChannelController(ChannelControllerBase):
         self.ambs = [
             Amb(config, timing, channel_id, d) for d in range(config.dimms_per_channel)
         ]
-        self._start_refresh(self.ambs)
+        self.units = self.ambs
+        self._start_refresh()
         self.prefetch = config.prefetch
         self._pf_enabled = config.prefetch.enabled
         self._region_lines = config.prefetch.region_cachelines
@@ -735,45 +769,22 @@ class FbdimmChannelController(ChannelControllerBase):
         events.sort(key=lambda e: e.time_ps)
         return events
 
-    def collect_device_counters(self) -> "dict":
-        """Snapshot of DRAM activity, AMB cache fills and link occupancy."""
-        counters = {
-            "activates": 0, "column_accesses": 0,
-            "prefetched_lines": self.mc_prefetched_lines,
-            "column_reads": 0, "column_writes": 0, "refreshes": 0,
-            "row_hits": 0, "row_misses": 0,
-            "faw_stalls": 0, "faw_stall_ps": 0,
-            "pf_table_lookups": 0, "pf_table_hits": 0, "pf_table_inserts": 0,
-            "pf_table_evictions": 0, "pf_table_invalidations": 0,
-            "busy": {
-                self.links.north.name: self.links.north.busy_ps,
-                self.links.south.name: self.links.south.busy_ps,
-            },
-        }
-        for amb in self.ambs:
-            acts, cols = amb.bank_operation_counts()
-            counters["activates"] += acts
-            counters["column_accesses"] += cols
-            counters["prefetched_lines"] += amb.prefetched_lines
-            for bank in amb.banks:
-                counters["column_reads"] += bank.stats.reads
-                counters["column_writes"] += bank.stats.writes
-                counters["refreshes"] += bank.stats.refreshes
-                counters["row_hits"] += bank.stats.row_hits
-                counters["row_misses"] += bank.stats.row_misses
-                counters["faw_stalls"] += bank.stats.faw_stalls
-                counters["faw_stall_ps"] += bank.stats.faw_stall_ps
+    def collect_device_counters(self) -> Dict[str, int]:
+        counters = super().collect_device_counters()
+        counters["prefetched_lines"] += self.mc_prefetched_lines + sum(
+            amb.prefetched_lines for amb in self.ambs
+        )
         if self.lifecycle is not None:
             # Tag-store counters fold only under lifecycle observability,
             # keeping default-run stats (and their digests) untouched.
             tables = [amb.table for amb in self.ambs if amb.table is not None]
             if self.mc_table is not None:
                 tables.append(self.mc_table)
-            for table in tables:
-                table_stats = table.stats
-                counters["pf_table_lookups"] += table_stats.lookups
-                counters["pf_table_hits"] += table_stats.hits
-                counters["pf_table_inserts"] += table_stats.inserts
-                counters["pf_table_evictions"] += table_stats.evictions
-                counters["pf_table_invalidations"] += table_stats.invalidations
+            _fold(counters, _TABLE_FOLD, [table.stats for table in tables])
         return counters
+
+    def busy_ps(self) -> Dict[str, int]:
+        return {
+            self.links.north.name: self.links.north.busy_ps,
+            self.links.south.name: self.links.south.busy_ps,
+        }

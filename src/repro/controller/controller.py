@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 
 from repro.config import FaultConfig, MemoryConfig, MemoryKind
 from repro.controller.channel_controller import (
@@ -23,24 +23,12 @@ from repro.controller.mapping import AddressMapper
 from repro.controller.transaction import MemoryRequest
 from repro.dram.timing import TimingPs
 from repro.engine.simulator import Simulator, ns
-from repro.stats.collector import MemSystemStats
+from repro.stats.collector import DEVICE_COUNTERS, MemSystemStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.prefetch.lifecycle import PrefetchLifecycle
     from repro.telemetry.spans import Tracer
     from repro.timeline.collector import TimelineCollector
-
-#: Device/residency counter keys summed across channels and baseline-
-#: subtracted at a measurement reset (see mark_measurement_start).
-_DEVICE_COUNTER_KEYS = (
-    "activates", "column_accesses", "prefetched_lines",
-    "column_reads", "column_writes", "refreshes",
-    "row_hits", "row_misses", "faw_stalls", "faw_stall_ps",
-    "idle_ps", "powerdown_ps", "idle_gaps",
-    "pf_table_lookups", "pf_table_hits", "pf_table_inserts",
-    "pf_table_evictions", "pf_table_invalidations",
-)
-
 
 class MemoryController:
     """Front door of the memory subsystem."""
@@ -93,6 +81,10 @@ class MemoryController:
         self._idle_ps = 0
         self._powerdown_ps = 0
         self._idle_gaps = 0
+        #: Device counters and bus occupancy at the measurement start,
+        #: subtracted at finalize (empty: nothing to discard).
+        self._baseline: Dict[str, int] = {}
+        self._baseline_busy: Dict[str, int] = {}
         for channel in self.channels:
             channel.tracer = tracer
         #: Per-prefetch lifecycle tracker (repro.prefetch), armed by the
@@ -202,28 +194,28 @@ class MemoryController:
 
     # ------------------------------------------------------------------
 
-    def _summed_device_counters(self) -> dict:
-        totals: dict = {key: 0 for key in _DEVICE_COUNTER_KEYS}
-        totals["busy"] = {}
+    def device_counters(self) -> Dict[str, int]:
+        """Live device/residency counter totals over all channels.
+
+        No baseline subtraction: the timeline collector differences
+        successive snapshots itself, and :meth:`finalize` subtracts the
+        measurement-start snapshot.
+        """
+        totals = dict.fromkeys(DEVICE_COUNTERS, 0)
         for channel in self.channels:
-            counters = channel.collect_device_counters()
-            for key in _DEVICE_COUNTER_KEYS:
-                totals[key] += counters.get(key, 0)
-            totals["busy"].update(counters["busy"])
+            for name, value in channel.collect_device_counters().items():
+                totals[name] += value
         # Residency lives on the controller, not in the channels.
         totals["idle_ps"] += self._idle_ps
         totals["powerdown_ps"] += self._powerdown_ps
         totals["idle_gaps"] += self._idle_gaps
         return totals
 
-    def device_counters(self) -> dict:
-        """Live device/residency counter totals (timeline snapshots).
-
-        Unlike :meth:`finalize` this performs no baseline subtraction:
-        the timeline collector differences successive snapshots itself,
-        so absolute values are what it needs.
-        """
-        return self._summed_device_counters()
+    def _busy_ps(self) -> Dict[str, int]:
+        busy: Dict[str, int] = {}
+        for channel in self.channels:
+            busy.update(channel.busy_ps())
+        return busy
 
     def collect_check_events(self) -> "list":
         """All journalled protocol-checker events, time-sorted.
@@ -268,7 +260,8 @@ class MemoryController:
         if self._idle_since is not None:
             self._close_idle_gap(self.sim.now)
             self._idle_since = self.sim.now
-        self._baseline = self._summed_device_counters()
+        self._baseline = self.device_counters()
+        self._baseline_busy = self._busy_ps()
         self.stats.reset_measurement()
         if self.lifecycle is not None:
             # After the stats reset: re-seeds pf_issued with the in-flight
@@ -287,32 +280,14 @@ class MemoryController:
         if self.lifecycle is not None:
             # Close the taxonomy: still-open instances -> resident_at_end.
             self.lifecycle.finalize()
-        totals = self._summed_device_counters()
-        baseline = getattr(self, "_baseline", None)
-        if baseline is not None:
-            for key in _DEVICE_COUNTER_KEYS:
-                totals[key] -= baseline[key]
-            totals["busy"] = {
-                name: busy - baseline["busy"].get(name, 0)
-                for name, busy in totals["busy"].items()
-            }
-        self.stats.activates += totals["activates"]
-        self.stats.column_accesses += totals["column_accesses"]
-        self.stats.prefetched_lines += totals["prefetched_lines"]
-        self.stats.column_reads += totals["column_reads"]
-        self.stats.column_writes += totals["column_writes"]
-        self.stats.refreshes += totals["refreshes"]
-        self.stats.row_hits += totals["row_hits"]
-        self.stats.row_misses += totals["row_misses"]
-        self.stats.faw_stalls += totals["faw_stalls"]
-        self.stats.faw_stall_ps += totals["faw_stall_ps"]
-        self.stats.idle_ps += totals["idle_ps"]
-        self.stats.powerdown_ps += totals["powerdown_ps"]
-        self.stats.idle_gaps += totals["idle_gaps"]
-        self.stats.pf_table_lookups += totals["pf_table_lookups"]
-        self.stats.pf_table_hits += totals["pf_table_hits"]
-        self.stats.pf_table_inserts += totals["pf_table_inserts"]
-        self.stats.pf_table_evictions += totals["pf_table_evictions"]
-        self.stats.pf_table_invalidations += totals["pf_table_invalidations"]
-        self.stats.per_channel_busy_ps.update(totals["busy"])
+        totals = self.device_counters()
+        baseline = self._baseline
+        stats = self.stats
+        for name in DEVICE_COUNTERS:
+            setattr(stats, name,
+                    getattr(stats, name) + totals[name] - baseline.get(name, 0))
+        stats.per_channel_busy_ps.update(
+            (name, busy - self._baseline_busy.get(name, 0))
+            for name, busy in self._busy_ps().items()
+        )
         return self.stats

@@ -37,11 +37,9 @@ from repro.dram.timing import TimingPs
 class BankStats:
     """DRAM operation counters, the input to the power model (Section 5.5).
 
-    The bare class-level annotations are load-bearing: the counter-drift
-    lint (``repro.check.lint.rules.counterdrift``) reconciles every
-    annotated field against its increment sites and the channel
-    controllers' ``collect_device_counters`` export surface, so a new
-    counter cannot silently go unreported.
+    The channel controllers fold every slot but ``precharges`` into the
+    like-named ``MemSystemStats`` device counter (``reads``/``writes``
+    into ``column_reads``/``column_writes``).
     """
 
     __slots__ = (
@@ -53,7 +51,7 @@ class BankStats:
     activates: int
     #: Close-page auto-precharges mirror ``activates`` one-for-one, so the
     #: export surfaces report activates only.
-    precharges: int  # repro: ignore[stat-unreported, stat-unregistered]
+    precharges: int
     reads: int
     writes: int
     row_hits: int

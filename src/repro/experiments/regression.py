@@ -24,21 +24,15 @@ from repro.config import (
     fbdimm_amb_prefetch,
     fbdimm_baseline,
 )
+from repro.stats.collector import COUNTERS
 from repro.system import run_system
 
 GOLDEN_PATH = Path(__file__).with_name("goldens.json")
 
-#: Metrics captured per scenario.  Integers only — float metrics would need
-#: tolerance plumbing, and the integer counters pin behaviour just as hard.
-_METRICS = (
-    "elapsed_ps",
-    "demand_reads",
-    "writes",
-    "amb_hits",
-    "activates",
-    "column_accesses",
-    "prefetched_lines",
-)
+#: Metrics captured per scenario: the run's length and every catalogue
+#: counter.  Integers only — float metrics would need tolerance plumbing,
+#: and the integer counters pin behaviour just as hard.
+_METRICS = ("elapsed_ps",) + tuple(f.name for f in COUNTERS)
 
 
 def _scenarios() -> Dict[str, "tuple[SystemConfig, List[str]]"]:
@@ -72,15 +66,10 @@ def capture() -> Dict[str, Dict[str, int]]:
     snapshot: Dict[str, Dict[str, int]] = {}
     for name, (config, programs) in _scenarios().items():
         result = run_system(config, programs)
-        snapshot[name] = {
-            "elapsed_ps": result.elapsed_ps,
-            "demand_reads": result.mem.demand_reads,
-            "writes": result.mem.writes,
-            "amb_hits": result.mem.amb_hits,
-            "activates": result.mem.activates,
-            "column_accesses": result.mem.column_accesses,
-            "prefetched_lines": result.mem.prefetched_lines,
-        }
+        snapshot[name] = {"elapsed_ps": result.elapsed_ps}
+        snapshot[name].update(
+            (f.name, getattr(result.mem, f.name)) for f in COUNTERS
+        )
     return snapshot
 
 

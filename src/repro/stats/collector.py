@@ -3,65 +3,140 @@
 One :class:`MemSystemStats` instance is shared by every channel controller
 of a system; the metrics module turns it into the paper's reported
 quantities (average latency, utilised bandwidth, coverage, efficiency,
-relative power).
+relative power).  Its :func:`counter` fields are the counter catalogue
+(:data:`COUNTERS`) that every other counter surface is derived from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import Field, dataclass, field, fields
+from typing import Any, ClassVar, Dict, FrozenSet, List, Optional, Tuple, Union
+
+#: Counter sources: ``completion`` counters are fed as requests finish and
+#: zeroed by :meth:`MemSystemStats.reset_measurement`; ``device`` counters
+#: accumulate in the banks, links, tag stores and controller, are summed
+#: over the channels, baseline-subtracted and folded in at finalize.
+COMPLETION = "completion"
+DEVICE = "device"
+
+
+def counter(
+    help: str, source: str, window: Union[bool, str] = False,
+    elide: bool = False,
+) -> int:
+    """Declare one catalogue counter: an ``int`` field defaulting to 0.
+
+    ``help`` is the metrics-registry help text and ``source`` is
+    :data:`COMPLETION` or :data:`DEVICE`.  ``window`` makes the counter a
+    per-window delta of the timeline: ``True`` keeps its name as the
+    :class:`~repro.timeline.records.WindowRecord` column, a string renames
+    it.  ``elide`` drops it from the canonical encoding while zero, so
+    results of configurations that cannot produce it keep their digests.
+    """
+    return field(default=0, metadata={
+        "help": help, "source": source, "window": window, "elide": elide,
+    })
 
 
 @dataclass
 class MemSystemStats:
-    """Counters for one simulated memory subsystem."""
+    """Counters for one simulated memory subsystem.
 
-    demand_reads: int = 0
-    sw_prefetch_reads: int = 0
-    writes: int = 0
-    amb_hits: int = 0  # reads served from an AMB cache (incl. fill merges)
-    prefetched_lines: int = 0  # lines written into AMB caches
-    read_latency_sum_ps: int = 0  # demand + software-prefetch reads
-    demand_latency_sum_ps: int = 0  # demand reads only
-    queue_delay_sum_ps: int = 0  # time between schedulable and issue
-    bytes_read: int = 0  # cachelines crossing the channel toward the CPU
-    bytes_written: int = 0  # write data crossing the channel
-    activates: int = 0  # ACT/PRE pairs at the DRAM devices
-    column_accesses: int = 0  # RD/WR column commands at the DRAM devices
-    column_reads: int = 0  # RD share of column_accesses (energy split)
-    column_writes: int = 0  # WR share of column_accesses (energy split)
-    refreshes: int = 0  # all-bank refreshes at the DRAM devices
-    row_hits: int = 0
-    row_misses: int = 0
-    faw_stalls: int = 0  # ACTs delayed by the tFAW four-activate window
-    faw_stall_ps: int = 0  # total delay those ACTs absorbed
+    Every scalar counter is declared once, below, with :func:`counter`;
+    the measurement reset, the device fold, the timeline columns, the
+    metrics registry and the canonical encoding are all derived from
+    these declarations (:data:`COUNTERS`).
+    """
+
+    demand_reads: int = counter(
+        "completed demand reads", COMPLETION, window=True)
+    sw_prefetch_reads: int = counter(
+        "completed software-prefetch reads", COMPLETION, window=True)
+    writes: int = counter("retired writes", COMPLETION, window=True)
+    amb_hits: int = counter(
+        "reads served from an AMB cache", COMPLETION, window=True)
+    prefetched_lines: int = counter(
+        "lines written into AMB caches", DEVICE, window=True)
+    read_latency_sum_ps: int = counter(
+        "latency sum of all reads", COMPLETION)
+    demand_latency_sum_ps: int = counter(
+        "latency sum of demand reads", COMPLETION, window=True)
+    queue_delay_sum_ps: int = counter(
+        "schedulable-to-issue delay sum", COMPLETION, window=True)
+    bytes_read: int = counter(
+        "bytes crossing the channel toward the CPU", COMPLETION, window=True)
+    bytes_written: int = counter(
+        "write bytes crossing the channel", COMPLETION, window=True)
+    activates: int = counter(
+        "ACT/PRE pairs at the DRAM devices", DEVICE, window=True)
+    column_accesses: int = counter("RD/WR column commands", DEVICE)
+    column_reads: int = counter(
+        "RD share of the column commands", DEVICE, window=True)
+    column_writes: int = counter(
+        "WR share of the column commands", DEVICE, window=True)
+    refreshes: int = counter(
+        "all-bank refreshes at the DRAM devices", DEVICE, window=True)
+    row_hits: int = counter("open-page row-buffer hits", DEVICE, window=True)
+    row_misses: int = counter(
+        "open-page row-buffer misses", DEVICE, window=True)
+    faw_stalls: int = counter(
+        "ACTs delayed by the tFAW window", DEVICE, elide=True)
+    faw_stall_ps: int = counter(
+        "total ACT delay from the tFAW window", DEVICE, elide=True)
     # -- idle/power-down residency (fed only when the timeline is on) ----
-    idle_ps: int = 0  # whole-subsystem idle time (no request outstanding)
-    powerdown_ps: int = 0  # idle time past the power-down entry threshold
-    idle_gaps: int = 0  # closed idle gaps (entries into the idle state)
+    idle_ps: int = counter("whole-subsystem idle time", DEVICE, window=True)
+    powerdown_ps: int = counter(
+        "idle time past the power-down threshold", DEVICE, window=True)
+    idle_gaps: int = counter("entries into the all-idle state", DEVICE)
+    # -- fault injection (repro.faults; all zero when faults are off) ----
+    faults_injected: int = counter(
+        "corrupted transfer attempts on the links", COMPLETION)
+    faults_corrupted: int = counter(
+        "transfers that saw >= 1 corruption", COMPLETION)
+    faults_retried_ok: int = counter(
+        "corrupted transfers recovered by replay", COMPLETION,
+        window="fault_retries")
+    faults_dropped: int = counter(
+        "transfers that exhausted the retry budget", COMPLETION)
+    fault_retry_latency_ps: int = counter(
+        "link latency added by replays", COMPLETION)
+    fault_degraded_entries: int = counter(
+        "channels that entered degraded mode", COMPLETION)
+    amb_parity_errors: int = counter(
+        "AMB-cache hits voided by parity", COMPLETION)
     # -- prefetch lifecycle taxonomy (repro.prefetch; fed only when
     # AmbPrefetchConfig.lifecycle is on, all zero otherwise) -------------
-    pf_issued: int = 0  # prefetched-line instances booked by group fetches
-    pf_used: int = 0  # instances hit by a demand read while resident
-    pf_evicted_unused: int = 0  # instances replaced/displaced before any hit
-    pf_late_unused: int = 0  # instances whose demand merged with the fill
-    pf_invalidated: int = 0  # instances dropped by a write or parity flip
-    pf_resident_at_end: int = 0  # instances still open at finalize
-    pf_hits: int = 0  # completed reads served from a prefetch buffer
+    pf_issued: int = counter(
+        "prefetched-line instances booked by group fetches", COMPLETION,
+        window=True, elide=True)
+    pf_used: int = counter(
+        "prefetch instances hit while resident", COMPLETION,
+        window=True, elide=True)
+    pf_evicted_unused: int = counter(
+        "prefetch instances replaced before any hit", COMPLETION,
+        window=True, elide=True)
+    pf_late_unused: int = counter(
+        "prefetch instances whose demand merged with the in-flight fill",
+        COMPLETION, window=True, elide=True)
+    pf_invalidated: int = counter(
+        "prefetch instances dropped by writes/parity", COMPLETION,
+        window=True, elide=True)
+    pf_resident_at_end: int = counter(
+        "prefetch instances still open at finalize", COMPLETION, elide=True)
+    pf_hits: int = counter(
+        "completed reads served from a prefetch buffer", COMPLETION,
+        elide=True)
     # -- prefetch tag-store counters (same gate; device-side fold) -------
-    pf_table_lookups: int = 0  # tag probes that counted a lookup
-    pf_table_hits: int = 0  # tag hits incl. in-flight fill merges
-    pf_table_inserts: int = 0  # lines installed into tag stores
-    pf_table_evictions: int = 0  # lines replaced out of tag stores
-    pf_table_invalidations: int = 0  # lines dropped by writes/parity
-    # -- fault injection (repro.faults; all zero when faults are off) ----
-    faults_injected: int = 0  # corrupted transfer attempts on the links
-    faults_corrupted: int = 0  # transfers that saw >= 1 corruption
-    faults_retried_ok: int = 0  # corrupted transfers recovered by a replay
-    faults_dropped: int = 0  # transfers that exhausted the retry budget
-    fault_retry_latency_ps: int = 0  # link-slot latency added by replays
-    fault_degraded_entries: int = 0  # channels that entered degraded mode
-    amb_parity_errors: int = 0  # AMB-cache hits invalidated by parity
+    pf_table_lookups: int = counter(
+        "prefetch tag-store probes", DEVICE, elide=True)
+    pf_table_hits: int = counter(
+        "prefetch tag-store hits incl. fill merges", DEVICE, elide=True)
+    pf_table_inserts: int = counter(
+        "lines installed into prefetch tag stores", DEVICE, elide=True)
+    pf_table_evictions: int = counter(
+        "lines replaced out of prefetch tag stores", DEVICE, elide=True)
+    pf_table_invalidations: int = counter(
+        "tag-store lines dropped by writes/parity", DEVICE, elide=True)
     per_channel_busy_ps: Dict[str, int] = field(default_factory=dict)
     first_activity_ps: int = -1
     last_activity_ps: int = 0
@@ -73,17 +148,9 @@ class MemSystemStats:
     #: Shows which program of a mix suffers the queueing (interference).
     per_core_reads: Dict[int, List[int]] = field(default_factory=dict)
 
-    #: Late-added counters elided from the canonical encoding while zero,
-    #: so results of configurations that cannot produce them (every DDR2
-    #: run: tFAW is disabled there; every lifecycle-off run: the pf_*
-    #: taxonomy) keep their pre-existing digests.
-    ENCODE_OPTIONAL_FIELDS = frozenset({
-        "faw_stalls", "faw_stall_ps",
-        "pf_issued", "pf_used", "pf_evicted_unused", "pf_late_unused",
-        "pf_invalidated", "pf_resident_at_end", "pf_hits",
-        "pf_table_lookups", "pf_table_hits", "pf_table_inserts",
-        "pf_table_evictions", "pf_table_invalidations",
-    })
+    #: Counters elided from the canonical encoding while zero (derived
+    #: from the ``elide`` flags below the class).
+    ENCODE_OPTIONAL_FIELDS: ClassVar[FrozenSet[str]] = frozenset()
 
     def enable_latency_capture(self) -> None:
         """Record every demand read's latency (for repro.analysis)."""
@@ -96,29 +163,8 @@ class MemSystemStats:
         Device-side counters (activates etc.) accumulate inside the banks
         and are baseline-subtracted by the controller instead.
         """
-        self.demand_reads = 0
-        self.sw_prefetch_reads = 0
-        self.writes = 0
-        self.amb_hits = 0
-        self.pf_issued = 0
-        self.pf_used = 0
-        self.pf_evicted_unused = 0
-        self.pf_late_unused = 0
-        self.pf_invalidated = 0
-        self.pf_resident_at_end = 0
-        self.pf_hits = 0
-        self.read_latency_sum_ps = 0
-        self.demand_latency_sum_ps = 0
-        self.queue_delay_sum_ps = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.faults_injected = 0
-        self.faults_corrupted = 0
-        self.faults_retried_ok = 0
-        self.faults_dropped = 0
-        self.fault_retry_latency_ps = 0
-        self.fault_degraded_entries = 0
-        self.amb_parity_errors = 0
+        for name in COMPLETION_COUNTERS:
+            setattr(self, name, 0)
         self.first_activity_ps = -1
         self.last_activity_ps = 0
         if self.demand_latency_samples is not None:
@@ -171,3 +217,33 @@ class MemSystemStats:
         """Account one retired write."""
         self.writes += 1
         self.bytes_written += line_bytes
+
+
+#: The counter catalogue: every :func:`counter` field, in declaration
+#: (and metrics-registry) order.
+COUNTERS: Tuple["Field[Any]", ...] = tuple(
+    f for f in fields(MemSystemStats) if "source" in f.metadata
+)
+COMPLETION_COUNTERS = tuple(
+    f.name for f in COUNTERS if f.metadata["source"] == COMPLETION
+)
+DEVICE_COUNTERS = tuple(
+    f.name for f in COUNTERS if f.metadata["source"] == DEVICE
+)
+MemSystemStats.ENCODE_OPTIONAL_FIELDS = frozenset(
+    f.name for f in COUNTERS if f.metadata["elide"]
+)
+
+
+def _column(f: "Field[Any]") -> str:
+    window = f.metadata["window"]
+    return f.name if window is True else str(window)
+
+
+_WINDOWED = tuple(f for f in COUNTERS if f.metadata["window"])
+#: (counter, WindowRecord column) of every windowed counter.
+WINDOW_COLUMNS = tuple((f.name, _column(f)) for f in _WINDOWED)
+#: WindowRecord columns elided from the canonical encoding while zero.
+ELIDED_WINDOW_COLUMNS = frozenset(
+    _column(f) for f in _WINDOWED if f.metadata["elide"]
+)

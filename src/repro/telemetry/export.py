@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.check.trace import CheckEvent, event_to_record, record_to_event
+from repro.stats.collector import ELIDED_WINDOW_COLUMNS
 from repro.telemetry.registry import registry_from_stats
 from repro.telemetry.spans import PrefetchTrace, RequestTrace, Tracer
 
@@ -418,10 +419,7 @@ def chrome_trace(capture: TelemetryCapture) -> Dict[str, object]:
             # Lifecycle taxonomy track — only when the window carries the
             # pf_* fields (they are elided from the encoding at their
             # defaults, i.e. whenever lifecycle tracking was off).
-            if any(key in window for key in (
-                "pf_issued", "pf_used", "pf_evicted_unused",
-                "pf_late_unused", "pf_invalidated",
-            )):
+            if not ELIDED_WINDOW_COLUMNS.isdisjoint(window):
                 events.append({
                     "name": "prefetch lifecycle",
                     "args": {

@@ -24,6 +24,8 @@ from typing import (
     TypeVar,
 )
 
+from repro.stats.collector import COUNTERS
+
 if TYPE_CHECKING:
     from repro.stats.collector import MemSystemStats
 
@@ -269,7 +271,8 @@ def registry_from_stats(
 ) -> MetricsRegistry:
     """Adapt a :class:`~repro.stats.collector.MemSystemStats` into metrics.
 
-    Every bare counter becomes a named :class:`Counter`; the derived
+    Every catalogue counter (:data:`~repro.stats.collector.COUNTERS`)
+    becomes a :class:`Counter` named ``mem.<field>``; the derived
     paper quantities (latency, bandwidth, coverage, efficiency) become
     gauges; captured per-request latencies (``enable_latency_capture``)
     become a histogram.  The stats object itself is left untouched.
@@ -278,83 +281,10 @@ def registry_from_stats(
 
     reg = registry if registry is not None else MetricsRegistry()
 
-    counters = (
-        ("mem.demand_reads", "completed demand reads", stats.demand_reads),
-        ("mem.sw_prefetch_reads", "completed software-prefetch reads",
-         stats.sw_prefetch_reads),
-        ("mem.writes", "retired writes", stats.writes),
-        ("mem.amb_hits", "reads served from an AMB cache", stats.amb_hits),
-        ("mem.prefetched_lines", "lines written into AMB caches",
-         stats.prefetched_lines),
-        ("mem.read_latency_sum_ps", "latency sum of all reads",
-         stats.read_latency_sum_ps),
-        ("mem.demand_latency_sum_ps", "latency sum of demand reads",
-         stats.demand_latency_sum_ps),
-        ("mem.queue_delay_sum_ps", "schedulable-to-issue delay sum",
-         stats.queue_delay_sum_ps),
-        ("mem.bytes_read", "bytes crossing the channel toward the CPU",
-         stats.bytes_read),
-        ("mem.bytes_written", "write bytes crossing the channel",
-         stats.bytes_written),
-        ("mem.activates", "ACT/PRE pairs at the DRAM devices", stats.activates),
-        ("mem.column_accesses", "RD/WR column commands", stats.column_accesses),
-        ("mem.column_reads", "RD share of the column commands",
-         stats.column_reads),
-        ("mem.column_writes", "WR share of the column commands",
-         stats.column_writes),
-        ("mem.refreshes", "all-bank refreshes at the DRAM devices",
-         stats.refreshes),
-        ("mem.row_hits", "open-page row-buffer hits", stats.row_hits),
-        ("mem.row_misses", "open-page row-buffer misses", stats.row_misses),
-        ("mem.faw_stalls", "ACTs delayed by the tFAW window",
-         stats.faw_stalls),
-        ("mem.faw_stall_ps", "total ACT delay from the tFAW window",
-         stats.faw_stall_ps),
-        ("mem.idle_ps", "whole-subsystem idle time", stats.idle_ps),
-        ("mem.powerdown_ps", "idle time past the power-down threshold",
-         stats.powerdown_ps),
-        ("mem.idle_gaps", "entries into the all-idle state", stats.idle_gaps),
-        ("mem.faults_injected", "corrupted transfer attempts on the links",
-         stats.faults_injected),
-        ("mem.faults_corrupted", "transfers that saw >= 1 corruption",
-         stats.faults_corrupted),
-        ("mem.faults_retried_ok", "corrupted transfers recovered by replay",
-         stats.faults_retried_ok),
-        ("mem.faults_dropped", "transfers that exhausted the retry budget",
-         stats.faults_dropped),
-        ("mem.fault_retry_latency_ps", "link latency added by replays",
-         stats.fault_retry_latency_ps),
-        ("mem.fault_degraded_entries", "channels that entered degraded mode",
-         stats.fault_degraded_entries),
-        ("mem.amb_parity_errors", "AMB-cache hits voided by parity",
-         stats.amb_parity_errors),
-        ("mem.pf_issued", "prefetched-line instances booked by group fetches",
-         stats.pf_issued),
-        ("mem.pf_used", "prefetch instances hit while resident",
-         stats.pf_used),
-        ("mem.pf_evicted_unused", "prefetch instances replaced before any hit",
-         stats.pf_evicted_unused),
-        ("mem.pf_late_unused", "prefetch instances whose demand merged "
-         "with the in-flight fill", stats.pf_late_unused),
-        ("mem.pf_invalidated", "prefetch instances dropped by writes/parity",
-         stats.pf_invalidated),
-        ("mem.pf_resident_at_end", "prefetch instances still open at finalize",
-         stats.pf_resident_at_end),
-        ("mem.pf_hits", "completed reads served from a prefetch buffer",
-         stats.pf_hits),
-        ("mem.pf_table_lookups", "prefetch tag-store probes",
-         stats.pf_table_lookups),
-        ("mem.pf_table_hits", "prefetch tag-store hits incl. fill merges",
-         stats.pf_table_hits),
-        ("mem.pf_table_inserts", "lines installed into prefetch tag stores",
-         stats.pf_table_inserts),
-        ("mem.pf_table_evictions", "lines replaced out of prefetch tag stores",
-         stats.pf_table_evictions),
-        ("mem.pf_table_invalidations", "tag-store lines dropped by "
-         "writes/parity", stats.pf_table_invalidations),
-    )
-    for name, help, value in counters:
-        reg.counter(name, help).inc(value)
+    for f in COUNTERS:
+        reg.counter(f"mem.{f.name}", f.metadata["help"]).inc(
+            getattr(stats, f.name)
+        )
 
     gauges = (
         ("mem.elapsed_ps", "active window length", float(stats.elapsed_ps)),

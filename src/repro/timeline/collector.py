@@ -17,30 +17,21 @@ unchanged simulation outcome plus a timeline whose sums reconcile.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.config import TimelineConfig
 from repro.engine.simulator import Simulator
 from repro.power.energy import EnergyAccountant
-from repro.stats.collector import MemSystemStats
+from repro.stats.collector import (
+    DEVICE_COUNTERS,
+    WINDOW_COLUMNS,
+    MemSystemStats,
+)
 from repro.timeline.records import TimelineResult, WindowRecord
 
-#: Completion-side counters snapshotted straight off MemSystemStats.
-_STATS_KEYS = (
-    "demand_reads", "sw_prefetch_reads", "writes", "amb_hits",
-    "bytes_read", "bytes_written",
-    "demand_latency_sum_ps", "queue_delay_sum_ps",
-    "faults_retried_ok",
-    "pf_issued", "pf_used", "pf_evicted_unused", "pf_late_unused",
-    "pf_invalidated",
-)
-
-#: Device/residency counters read from the controller's live totals.
-_DEVICE_KEYS = (
-    "activates", "column_reads", "column_writes", "refreshes",
-    "row_hits", "row_misses", "prefetched_lines",
-    "idle_ps", "powerdown_ps",
-)
+#: Windowed device counters are read from the controller's live totals,
+#: the other windowed counters off MemSystemStats.
+_DEVICE = frozenset(DEVICE_COUNTERS)
 
 
 def _percentile_ps(sorted_samples: List[int], p: float) -> int:
@@ -82,7 +73,7 @@ class TimelineCollector:
         self.truncated = False
         self._started = False
         self._window_start = 0
-        self._prev: Dict[str, int] = {}
+        self._prev: List[int] = []
         self._sample_offset = 0
         if config.capture_latency:
             stats.enable_latency_capture()
@@ -146,16 +137,20 @@ class TimelineCollector:
         samples = self.stats.demand_latency_samples
         return len(samples) if samples is not None else 0
 
-    def _snapshot(self) -> Dict[str, int]:
-        snap = {key: getattr(self.stats, key) for key in _STATS_KEYS}
+    def _snapshot(self) -> List[int]:
+        stats = self.stats
         device = self._device_counters()
-        for key in _DEVICE_KEYS:
-            snap[key] = device.get(key, 0)
-        return snap
+        return [
+            device.get(name, 0) if name in _DEVICE else getattr(stats, name)
+            for name, _ in WINDOW_COLUMNS
+        ]
 
     def _emit(self, end_ps: int) -> None:
         now = self._snapshot()
-        delta = {key: now[key] - self._prev[key] for key in now}
+        delta = {
+            column: value - prev
+            for (_, column), value, prev in zip(WINDOW_COLUMNS, now, self._prev)
+        }
         duration_ps = end_ps - self._window_start
 
         p50 = p95 = p99 = lat_max = 0
@@ -182,39 +177,17 @@ class TimelineCollector:
             index=len(self.windows),
             start_ps=self._window_start,
             end_ps=end_ps,
-            demand_reads=delta["demand_reads"],
-            sw_prefetch_reads=delta["sw_prefetch_reads"],
-            writes=delta["writes"],
-            amb_hits=delta["amb_hits"],
-            bytes_read=delta["bytes_read"],
-            bytes_written=delta["bytes_written"],
-            demand_latency_sum_ps=delta["demand_latency_sum_ps"],
-            queue_delay_sum_ps=delta["queue_delay_sum_ps"],
-            fault_retries=delta["faults_retried_ok"],
             latency_p50_ps=p50,
             latency_p95_ps=p95,
             latency_p99_ps=p99,
             latency_max_ps=lat_max,
-            activates=delta["activates"],
-            column_reads=delta["column_reads"],
-            column_writes=delta["column_writes"],
-            refreshes=delta["refreshes"],
-            row_hits=delta["row_hits"],
-            row_misses=delta["row_misses"],
-            prefetched_lines=delta["prefetched_lines"],
-            idle_ps=delta["idle_ps"],
-            powerdown_ps=delta["powerdown_ps"],
             queue_depth=self._queue_depth(),
             energy_act_nj=energy.act_nj,
             energy_rd_nj=energy.rd_nj,
             energy_wr_nj=energy.wr_nj,
             energy_refresh_nj=energy.refresh_nj,
             energy_background_nj=energy.background_nj,
-            pf_issued=delta["pf_issued"],
-            pf_used=delta["pf_used"],
-            pf_evicted_unused=delta["pf_evicted_unused"],
-            pf_late_unused=delta["pf_late_unused"],
-            pf_invalidated=delta["pf_invalidated"],
+            **delta,
         ))
         self._prev = now
         self._window_start = end_ps

@@ -8,12 +8,14 @@ so a timeline round-trips bit-identically:
     {"type": "window", "index": 0, ...}
     {"type": "window", "index": 1, ...}
 
-CSV export flattens the same records (plus the derived rates) for
-spreadsheet / pandas consumption.
+CSV export flattens the same records (every WindowRecord field in
+declaration order, then the derived rates) for spreadsheet / pandas
+consumption.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -23,24 +25,6 @@ from repro.timeline.records import TimelineResult, WindowRecord
 
 FORMAT_NAME = "repro-timeline"
 FORMAT_VERSION = 1
-
-#: Serialised WindowRecord columns, in CSV column order.  Kept explicit —
-#: the counter-drift lint reconciles this tuple against the dataclass, so
-#: adding a field to WindowRecord without exporting it fails the lint.
-WINDOW_FIELDS = (
-    "index", "start_ps", "end_ps",
-    "demand_reads", "sw_prefetch_reads", "writes", "amb_hits",
-    "bytes_read", "bytes_written",
-    "demand_latency_sum_ps", "queue_delay_sum_ps", "fault_retries",
-    "latency_p50_ps", "latency_p95_ps", "latency_p99_ps", "latency_max_ps",
-    "activates", "column_reads", "column_writes", "refreshes",
-    "row_hits", "row_misses", "prefetched_lines",
-    "idle_ps", "powerdown_ps", "queue_depth",
-    "energy_act_nj", "energy_rd_nj", "energy_wr_nj",
-    "energy_refresh_nj", "energy_background_nj",
-    "pf_issued", "pf_used", "pf_evicted_unused", "pf_late_unused",
-    "pf_invalidated",
-)
 
 #: Derived per-window rates appended to the CSV after the raw columns.
 DERIVED_FIELDS = (
@@ -134,17 +118,18 @@ def validate_timeline(timeline: TimelineResult) -> List[str]:
                 f"{where}: duration {w.duration_ps} exceeds the"
                 f" {timeline.window_ps} ps window"
             )
-        for name in WINDOW_FIELDS:
-            value = getattr(w, name)
+        for f in dataclasses.fields(w):
+            value = getattr(w, f.name)
             if isinstance(value, (int, float)) and value < 0:
-                issues.append(f"{where}: negative {name} ({value})")
+                issues.append(f"{where}: negative {f.name} ({value})")
         prev_end = w.end_ps
     return issues
 
 
 def timeline_csv_lines(timeline: TimelineResult) -> List[str]:
     """CSV text lines (header + one row per window)."""
-    columns = WINDOW_FIELDS + DERIVED_FIELDS
+    columns = [f.name for f in dataclasses.fields(WindowRecord)]
+    columns.extend(DERIVED_FIELDS)
     lines = [",".join(columns)]
     for w in timeline.windows:
         cells = []

@@ -1,6 +1,7 @@
 """Typed per-window records produced by the timeline collector.
 
-A :class:`WindowRecord` holds the *deltas* of every tracked counter over
+A :class:`WindowRecord` holds the *deltas* of every windowed counter of
+the catalogue (:data:`repro.stats.collector.WINDOW_COLUMNS`) over
 one sim-time window plus a few end-of-window gauges (queue depth) and
 the window's energy breakdown in nanojoules.  Integer counters are exact;
 derived rates (bandwidth, hit rates, power) are properties so they never
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import List
+
+from repro.stats.collector import ELIDED_WINDOW_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,11 @@ class WindowRecord:
     pf_late_unused: int = 0
     pf_invalidated: int = 0
 
-    #: Late-added fields elided from the canonical encoding while at
+    #: Late-added columns elided from the canonical encoding while at
     #: their defaults so pre-existing timeline digests, goldens and JSONL
-    #: files keep decoding (and hashing) unchanged.
-    ENCODE_OPTIONAL_FIELDS = frozenset({
-        "pf_issued", "pf_used", "pf_evicted_unused", "pf_late_unused",
-        "pf_invalidated",
-    })
+    #: files keep decoding (and hashing) unchanged; derived from the
+    #: counter catalogue's ``elide`` flags.
+    ENCODE_OPTIONAL_FIELDS = ELIDED_WINDOW_COLUMNS
 
     # -- derived rates (never serialised; recomputed from the counts) ---
     # Structural validity (end > start, contiguous indices) is checked by

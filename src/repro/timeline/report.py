@@ -9,6 +9,7 @@ leaving the terminal.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.timeline.phases import detect_phases
@@ -41,57 +42,6 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
         rank = round(value / top * (len(_BARS) - 1))
         glyphs.append(_BARS[max(0, min(rank, len(_BARS) - 1))])
     return "".join(glyphs)
-
-
-def _totals(windows: Sequence[WindowRecord]) -> dict:
-    """Field-wise sums (and maxima where summing is meaningless)."""
-    t = {
-        "demand_reads": 0, "sw_prefetch_reads": 0, "writes": 0,
-        "amb_hits": 0, "bytes_read": 0, "bytes_written": 0,
-        "demand_latency_sum_ps": 0, "queue_delay_sum_ps": 0,
-        "fault_retries": 0, "activates": 0, "column_reads": 0,
-        "column_writes": 0, "refreshes": 0, "row_hits": 0,
-        "row_misses": 0, "prefetched_lines": 0, "idle_ps": 0,
-        "powerdown_ps": 0, "energy_act_nj": 0.0, "energy_rd_nj": 0.0,
-        "energy_wr_nj": 0.0, "energy_refresh_nj": 0.0,
-        "energy_background_nj": 0.0, "latency_max_ps": 0,
-        "queue_depth_max": 0, "duration_ps": 0,
-        "pf_issued": 0, "pf_used": 0, "pf_evicted_unused": 0,
-        "pf_late_unused": 0, "pf_invalidated": 0,
-    }
-    for w in windows:
-        t["demand_reads"] += w.demand_reads
-        t["sw_prefetch_reads"] += w.sw_prefetch_reads
-        t["writes"] += w.writes
-        t["amb_hits"] += w.amb_hits
-        t["bytes_read"] += w.bytes_read
-        t["bytes_written"] += w.bytes_written
-        t["demand_latency_sum_ps"] += w.demand_latency_sum_ps
-        t["queue_delay_sum_ps"] += w.queue_delay_sum_ps
-        t["fault_retries"] += w.fault_retries
-        t["activates"] += w.activates
-        t["column_reads"] += w.column_reads
-        t["column_writes"] += w.column_writes
-        t["refreshes"] += w.refreshes
-        t["row_hits"] += w.row_hits
-        t["row_misses"] += w.row_misses
-        t["prefetched_lines"] += w.prefetched_lines
-        t["idle_ps"] += w.idle_ps
-        t["powerdown_ps"] += w.powerdown_ps
-        t["energy_act_nj"] += w.energy_act_nj
-        t["energy_rd_nj"] += w.energy_rd_nj
-        t["energy_wr_nj"] += w.energy_wr_nj
-        t["energy_refresh_nj"] += w.energy_refresh_nj
-        t["energy_background_nj"] += w.energy_background_nj
-        t["pf_issued"] += w.pf_issued
-        t["pf_used"] += w.pf_used
-        t["pf_evicted_unused"] += w.pf_evicted_unused
-        t["pf_late_unused"] += w.pf_late_unused
-        t["pf_invalidated"] += w.pf_invalidated
-        t["latency_max_ps"] = max(t["latency_max_ps"], w.latency_max_ps)
-        t["queue_depth_max"] = max(t["queue_depth_max"], w.queue_depth)
-        t["duration_ps"] += w.duration_ps
-    return t
 
 
 def timeline_report(
@@ -131,7 +81,12 @@ def timeline_report(
             f"  {fmt_label:<16} |{sparkline(series, width)}| peak {peak:.3g}"
         )
 
-    t = _totals(timeline.windows)
+    # Field-wise sums over the windows (maxima and the span are taken
+    # where they are printed).
+    t = {
+        f.name: sum(getattr(w, f.name) for w in timeline.windows)
+        for f in dataclasses.fields(WindowRecord)
+    }
     reads = t["demand_reads"] + t["sw_prefetch_reads"]
     lines.append(
         f"  reads {t['demand_reads']} demand + {t['sw_prefetch_reads']} swpf,"
@@ -155,12 +110,14 @@ def timeline_report(
         qd_ns = t["queue_delay_sum_ps"] / t["demand_reads"] / 1000.0
         lines.append(
             f"  latency: avg {avg_ns:.1f} ns (queue {qd_ns:.1f}),"
-            f" worst-window max {t['latency_max_ps'] / 1000.0:.1f} ns"
+            f" worst-window max"
+            f" {max(w.latency_max_ps for w in timeline.windows) / 1000.0:.1f} ns"
         )
     dynamic_nj = (t["energy_act_nj"] + t["energy_rd_nj"]
                   + t["energy_wr_nj"] + t["energy_refresh_nj"])
     total_nj = dynamic_nj + t["energy_background_nj"]
-    avg_w = total_nj / (t["duration_ps"] / 1000.0) if t["duration_ps"] else 0.0
+    span_ps = sum(w.duration_ps for w in timeline.windows)
+    avg_w = total_nj / (span_ps / 1000.0) if span_ps else 0.0
     lines.append(
         f"  energy: {total_nj / 1000.0:.2f} uJ"
         f" (ACT {t['energy_act_nj']:.0f} + RD {t['energy_rd_nj']:.0f}"
@@ -168,12 +125,12 @@ def timeline_report(
         f" + background {t['energy_background_nj']:.0f} nJ),"
         f" avg power {avg_w:.3f} W"
     )
-    span_ps = t["duration_ps"]
     if span_ps:
         lines.append(
             f"  residency: idle {t['idle_ps'] / span_ps:.1%},"
             f" power-down {t['powerdown_ps'] / span_ps:.1%}"
-            f" of the recorded span, peak queue {t['queue_depth_max']}"
+            f" of the recorded span, peak queue"
+            f" {max(w.queue_depth for w in timeline.windows)}"
         )
     if t["fault_retries"]:
         lines.append(f"  faults: {t['fault_retries']} recovered retries")

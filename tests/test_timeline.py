@@ -4,8 +4,8 @@ Covers the windowed telemetry layer end to end: golden Micron datasheet
 energies, the Figure 13 compatibility contract (per-command model ==
 aggregate PowerModel on refresh-free runs), window-edge semantics on a
 stub schedule, the conservation invariant and zero-overhead guard on
-real runs, JSONL/CSV round-trips, phase detection, diffing, the
-``repro timeline`` CLI, and the WindowRecord counter-drift lint spec.
+real runs, JSONL/CSV round-trips, phase detection, diffing and the
+``repro timeline`` CLI.
 """
 
 import dataclasses
@@ -31,7 +31,6 @@ from repro.system import run_system
 from repro.timeline.collector import TimelineCollector, _percentile_ps
 from repro.timeline.diff import diff_timelines, format_diff
 from repro.timeline.export import (
-    WINDOW_FIELDS,
     read_timeline_jsonl,
     timeline_csv_lines,
     validate_timeline,
@@ -558,7 +557,8 @@ class TestSerialization:
         lines = timeline_csv_lines(timeline)
         assert len(lines) == 1 + len(timeline.windows)
         header = lines[0].split(",")
-        assert list(WINDOW_FIELDS) == header[: len(WINDOW_FIELDS)]
+        fields = [f.name for f in dataclasses.fields(WindowRecord)]
+        assert fields == header[: len(fields)]
         assert "bandwidth_gbs" in header and "avg_power_w" in header
         row = lines[1].split(",")
         # 128 B over the 1 ns window = 128 GB/s; avg latency 50 ns.
@@ -868,73 +868,6 @@ class TestCli:
         assert code in (0, None)
         out = capsys.readouterr().out
         assert "timeline" in out
-
-
-# ----------------------------------------------------------------------
-# Lint: the WindowRecord counter-drift spec
-# ----------------------------------------------------------------------
-
-
-class TestWindowRecordLintSpec:
-    FIXTURE = (
-        (
-            "timeline/records.py",
-            "from dataclasses import dataclass\n"
-            "\n"
-            "\n"
-            "@dataclass(frozen=True)\n"
-            "class WindowRecord:\n"
-            "    good: int = 0\n"
-            "    bogus_counter: int = 0\n",
-        ),
-        (
-            "timeline/collector.py",
-            "def make(x: int) -> object:\n"
-            "    return WindowRecord(good=x)\n",
-        ),
-        (
-            "timeline/report.py",
-            "def show(w: object) -> int:\n"
-            "    return w.good\n",
-        ),
-        (
-            "timeline/export.py",
-            'WINDOW_FIELDS = ("good",)\n',
-        ),
-    )
-
-    def lint(self):
-        from repro.check.lint.core import LintEngine
-
-        return LintEngine().lint_sources(list(self.FIXTURE))
-
-    def test_orphaned_window_field_fails_all_three_rules(self):
-        findings = self.lint()
-        by_rule = {}
-        for finding in findings:
-            by_rule.setdefault(finding.rule, []).append(finding)
-        for rule in ("stat-no-increment", "stat-unreported",
-                     "stat-unregistered"):
-            assert rule in by_rule, rule
-            assert any(
-                "WindowRecord.bogus_counter" in f.message
-                for f in by_rule[rule]
-            ), rule
-
-    def test_fed_and_exported_field_is_clean(self):
-        findings = self.lint()
-        assert not any("WindowRecord.good" in f.message for f in findings)
-
-    def test_shipped_tree_is_clean(self):
-        # The real WindowRecord passes its own spec (also enforced repo-wide
-        # by the lint CI job; this is the fast local pin).
-        from pathlib import Path
-
-        from repro.check.lint.core import LintEngine
-
-        src = Path(__file__).parent.parent / "src" / "repro"
-        findings = LintEngine().lint_paths([src])
-        assert not any(f.rule.startswith("stat-") for f in findings)
 
 
 class TestBenchScenario:
