@@ -8,8 +8,15 @@ Usage::
 
 ``run`` simulates one system and prints a full report; ``compare`` runs
 DDR2, FB-DIMM and FB-DIMM+AP side by side; ``list`` shows the available
-programs and Table 3 workload mixes.  Regenerating the paper's figures
-lives under ``python -m repro.experiments``.
+programs and Table 3 workload mixes.  ``faults``, ``sweep``, ``cache``,
+``trace``, ``timeline``, ``prefetch`` and ``bench`` are the other
+subcommands.  Every simulating subcommand takes the same run knobs
+(:func:`run_arguments`) and every observed run goes through
+:func:`observed_run`.  Regenerating the paper's figures lives under
+``python -m repro.experiments``.
+
+Exit codes: 0 ok, 1 failed check (validation, regression, conservation),
+2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.latency import LatencyDistribution
 from repro.analysis.report import run_report
@@ -31,13 +38,13 @@ from repro.config import (
     fbdimm_baseline,
 )
 from repro.dram.devices import device_names
-from repro.system import System
+from repro.system import System, run_system
 from repro.workloads.multiprog import SINGLE_CORE, WORKLOADS, workload_programs
 
 if TYPE_CHECKING:
     from repro.engine.profiler import EventLoopProfiler
     from repro.system import SimulationResult
-    from repro.telemetry import Tracer
+    from repro.telemetry import TelemetryCapture
 
 SYSTEMS = ("ddr2", "fbd", "fbd-ap")
 
@@ -48,10 +55,35 @@ ASSOCIATIVITIES = {
     "full": Associativity.FULL,
 }
 
+#: Callback sites ``run --profile`` lists when given no count.
+PROFILE_TOP = 15
+
+
+def run_arguments() -> argparse.ArgumentParser:
+    """The run knobs every simulating subcommand shares, as a parent parser."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--workload", default="4C-1",
+                        help="a program name or a Table 3 mix (see 'list')")
+    shared.add_argument("--insts", type=int, default=50_000,
+                        help="instructions per core")
+    shared.add_argument("--seed", type=int, default=12345)
+    shared.add_argument("--no-sw-prefetch", action="store_true")
+    shared.add_argument("--device", choices=device_names(), default="ddr2-667",
+                        help="DRAM device generation preset "
+                             "(see docs/DEVICES.md)")
+    shared.add_argument("--k", type=int, default=4,
+                        help="region cachelines for fbd-ap")
+    shared.add_argument("--entries", type=int, default=64,
+                        help="AMB prefetch-cache entries for fbd-ap")
+    shared.add_argument("--assoc", choices=sorted(ASSOCIATIVITIES),
+                        default="full",
+                        help="AMB prefetch-cache associativity for fbd-ap")
+    return shared
+
 
 def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
-    programs = workload_programs(args.workload)
-    cores = len(programs)
+    """``system``'s configuration with the shared run knobs applied."""
+    cores = len(workload_programs(args.workload))
     if system == "ddr2":
         config = ddr2_baseline(num_cores=cores)
     elif system == "fbd":
@@ -63,63 +95,90 @@ def _build_config(args: argparse.Namespace, system: str) -> SystemConfig:
             associativity=ASSOCIATIVITIES[args.assoc],
         )
         config = fbdimm_amb_prefetch(num_cores=cores, prefetch=prefetch)
-    device = getattr(args, "device", None)
-    if device is not None and device != "ddr2-667":
-        config = config.with_device(device)
-    config = dataclasses.replace(
+    if args.device != "ddr2-667":
+        config = config.with_device(args.device)
+    return dataclasses.replace(
         config,
         instructions_per_core=args.insts,
         seed=args.seed,
         software_prefetch=not args.no_sw_prefetch,
     )
-    window_ns = getattr(args, "timeline_ns", None)
-    if window_ns is not None:
-        config = config.with_timeline(window_ns=window_ns)
-    return config
 
 
-def _run_one(
-    args: argparse.Namespace,
-    system: str,
-    tracer: Optional[Tracer] = None,
-    profiler: Optional[EventLoopProfiler] = None,
-) -> Tuple[System, SimulationResult]:
-    programs = workload_programs(args.workload)
-    config = _build_config(args, system)
-    machine = System(config, programs, tracer=tracer)
-    if profiler is not None:
-        machine.sim.profiler = profiler
-    if args.latency:
-        machine.controller.stats.enable_latency_capture()
-    return machine, machine.run()
+def observed_run(
+    config: SystemConfig,
+    programs: Sequence[str],
+    *,
+    trace: bool = False,
+    profile: bool = False,
+    latency: bool = False,
+) -> Tuple[SimulationResult, Optional[TelemetryCapture],
+           Optional[EventLoopProfiler]]:
+    """Run one system with the requested observers attached.
 
-
-def cmd_run(args: argparse.Namespace) -> int:
+    ``trace`` attaches a :class:`~repro.telemetry.Tracer` and assembles
+    the run's telemetry capture, which carries the profile records too
+    when ``profile`` attaches an event-loop profiler.  ``latency`` keeps
+    every demand read's latency for the distribution report.  Returns the
+    result, the capture (``None`` unless tracing) and the profiler
+    (``None`` unless profiling).
+    """
     tracer = None
-    if args.trace_out:
+    if trace:
         from repro.telemetry import Tracer
 
         tracer = Tracer()
+    machine = System(config, programs, tracer=tracer)
     profiler = None
-    if args.profile is not None:
+    if profile:
         from repro.engine.profiler import EventLoopProfiler
 
         profiler = EventLoopProfiler()
-    machine, result = _run_one(args, args.system, tracer=tracer,
-                               profiler=profiler)
+        machine.sim.profiler = profiler
+    if latency:
+        machine.controller.stats.enable_latency_capture()
+    result = machine.run()
+    capture = None
     if tracer is not None:
-        from repro.telemetry import build_capture, save_capture
+        from repro.telemetry import build_capture
 
         capture = build_capture(
             result, tracer,
             check_events=machine.controller.collect_check_events(),
+            profile=(profiler.to_records() + profiler.stack_records()
+                     if profiler is not None else None),
         )
-        records = save_capture(args.trace_out, capture)
-        print(f"[trace: {records} records -> {args.trace_out}]")
+    return result, capture, profiler
+
+
+def save_trace(path: str, capture: TelemetryCapture) -> None:
+    """Write a ``--trace-out`` capture and say so."""
+    from repro.telemetry import save_capture
+
+    records = save_capture(path, capture)
+    print(f"[trace: {records} records -> {path}]")
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _build_config(args, args.system)
+    if args.timeline_ns is not None:
+        config = config.with_timeline(window_ns=args.timeline_ns)
+    top = args.profile
+    if top is None and args.flame:
+        top = PROFILE_TOP
+    result, capture, profiler = observed_run(
+        config, workload_programs(args.workload),
+        trace=bool(args.trace_out), profile=top is not None,
+        latency=args.latency,
+    )
+    if capture is not None:
+        save_trace(args.trace_out, capture)
     print(run_report(result))
     if profiler is not None:
         print()
-        print(profiler.tree_report(limit=args.profile))
+        print(profiler.tree_report(limit=top))
+        if args.flame:
+            _write_flame(args.flame, profiler)
     if args.latency:
         dist = LatencyDistribution.from_stats(result.mem)
         print(f"\nlatency distribution: {dist.format()}")
@@ -130,15 +189,29 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_flame(path: str, profiler: EventLoopProfiler) -> None:
+    from pathlib import Path
+
+    from repro.engine.profiler import parse_collapsed
+
+    lines = profiler.to_collapsed()
+    text = "\n".join(lines) + ("\n" if lines else "")
+    # Round-trip through the parser: a file we cannot re-read is a bug.
+    parse_collapsed(text)
+    Path(path).write_text(text, encoding="utf-8")
+    print(f"\nflame stacks -> {path} ({len(lines)} stacks; "
+          f"feed to flamegraph.pl / speedscope)")
+
+
 def _compare_results(args: argparse.Namespace) -> List[SimulationResult]:
     """One result per system, fanned out across --jobs processes."""
-    if args.jobs > 1 and not args.latency:
+    programs = tuple(workload_programs(args.workload))
+    pairs = [(_build_config(args, system), programs) for system in SYSTEMS]
+    if args.jobs > 1:
         from repro.experiments.parallel import execute_runs
 
-        programs = tuple(workload_programs(args.workload))
-        pairs = [(_build_config(args, system), programs) for system in SYSTEMS]
         return execute_runs(pairs, jobs=args.jobs)
-    return [_run_one(args, system)[1] for system in SYSTEMS]
+    return [run_system(config, programs) for config, programs in pairs]
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -257,9 +330,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_faults(args: argparse.Namespace) -> int:
     from repro.faults.sweep import fault_sweep, format_sweep
 
-    if args.system == "ddr2":
-        raise SystemExit("fault injection models the FB-DIMM link layer; "
-                         "use --system fbd or fbd-ap")
     try:
         rates = [float(v) for v in args.rates.split(",") if v]
     except ValueError as exc:
@@ -306,50 +376,65 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_trace_summarize(args: argparse.Namespace) -> int:
+    from repro.telemetry import load_capture, summarize_capture
+
+    print(summarize_capture(load_capture(args.capture), top_sites=args.top))
+    return 0
+
+
+def cmd_trace_export(args: argparse.Namespace) -> int:
+    from repro.telemetry import (
+        load_capture,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
+
+    doc = write_chrome_trace(args.out, load_capture(args.capture))
+    problems = validate_chrome_trace(doc)
+    events = doc["traceEvents"]
+    print(f"wrote {args.out}: {len(events)} trace events")  # type: ignore[arg-type]
+    if problems:
+        for problem in problems[:20]:
+            print(f"  INVALID: {problem}", file=sys.stderr)
+        print(f"{len(problems)} schema problem(s)", file=sys.stderr)
+        return 1
+    print("schema: OK (load it in Perfetto / chrome://tracing)")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="FB-DIMM / AMB-prefetching simulator (ISPASS 2007 repro)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = run_arguments()
 
-    def add_run_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workload", default="4C-1",
-                       help="a program name or a Table 3 mix (see 'list')")
-        p.add_argument("--insts", type=int, default=50_000)
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--no-sw-prefetch", action="store_true")
-        p.add_argument("--device", choices=device_names(), default="ddr2-667",
-                       help="DRAM device generation preset "
-                            "(see docs/DEVICES.md)")
-        p.add_argument("--k", type=int, default=4,
-                       help="region cachelines for fbd-ap")
-        p.add_argument("--entries", type=int, default=64)
-        p.add_argument("--assoc", choices=sorted(ASSOCIATIVITIES), default="full")
-        p.add_argument("--latency", action="store_true",
-                       help="capture and print the latency distribution")
-        p.add_argument("--utilisation", action="store_true",
-                       help="print per-link busy fractions")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for independent runs")
-
-    run_p = sub.add_parser("run", help="simulate one system")
-    add_run_args(run_p)
+    run_p = sub.add_parser("run", parents=[shared], help="simulate one system")
     run_p.add_argument("--system", choices=SYSTEMS, default="fbd-ap")
+    run_p.add_argument("--latency", action="store_true",
+                       help="capture and print the latency distribution")
+    run_p.add_argument("--utilisation", action="store_true",
+                       help="print per-link busy fractions")
     run_p.add_argument("--trace-out", metavar="PATH",
-                       help="record a telemetry capture (see repro.trace)")
-    run_p.add_argument("--profile", nargs="?", const=15, default=None,
+                       help="record a telemetry capture (see 'trace')")
+    run_p.add_argument("--profile", nargs="?", const=PROFILE_TOP, default=None,
                        type=int, metavar="N",
                        help="profile the event loop; print the top-N "
-                            "callback sites (default 15)")
+                            f"callback sites (default {PROFILE_TOP}) and add "
+                            "the profile to the --trace-out capture")
+    run_p.add_argument("--flame", metavar="PATH",
+                       help="write the profile as collapsed flame stacks "
+                            "(implies --profile)")
     run_p.add_argument("--timeline-ns", type=float, default=None,
                        metavar="NS",
                        help="record the windowed timeline (window length "
                             "in sim-time ns; see docs/TIMELINE.md)")
     run_p.set_defaults(func=cmd_run)
 
-    cmp_p = sub.add_parser("compare", help="DDR2 vs FBD vs FBD-AP")
-    add_run_args(cmp_p)
+    cmp_p = sub.add_parser("compare", parents=[shared],
+                           help="DDR2 vs FBD vs FBD-AP")
     cmp_p.set_defaults(func=cmd_compare)
 
     list_p = sub.add_parser("list", help="show programs and workloads")
@@ -363,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--workload", default="4C-1")
     sweep_p.add_argument("--insts", type=int, default=20_000)
     sweep_p.add_argument("--seed", type=int, default=12345)
-    sweep_p.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for independent sweep points")
     sweep_p.add_argument("--no-cache", action="store_true",
                          help="skip the persistent run cache")
     sweep_p.add_argument("--cache-dir", default=".repro-cache",
@@ -372,9 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.set_defaults(func=cmd_sweep)
 
     faults_p = sub.add_parser(
-        "faults", help="sweep link error rates (repro.faults injection)"
+        "faults", parents=[shared],
+        help="sweep link error rates (repro.faults injection)",
     )
-    add_run_args(faults_p)
     faults_p.add_argument("--system", choices=("fbd", "fbd-ap"),
                           default="fbd-ap")
     faults_p.add_argument("--rates", default="1e-6,1e-4,1e-2",
@@ -386,6 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="seed of the fault-decision streams")
     faults_p.set_defaults(func=cmd_faults)
 
+    for runs_p in (cmp_p, sweep_p, faults_p):
+        runs_p.add_argument("--jobs", type=int, default=1,
+                            help="worker processes for independent runs")
+
     cache_p = sub.add_parser(
         "cache", help="inspect or purge the persistent run cache"
     )
@@ -393,33 +480,50 @@ def build_parser() -> argparse.ArgumentParser:
     cache_p.add_argument("--cache-dir", default=".repro-cache")
     cache_p.set_defaults(func=cmd_cache)
 
-    bench_p = sub.add_parser(
-        "bench", help="performance benchmarking (see docs/BENCHMARKING.md)"
+    trace_p = sub.add_parser(
+        "trace", help="summarize or export a 'run --trace-out' capture "
+                      "(see docs/OBSERVABILITY.md)"
     )
+    trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
+    sum_p = trace_sub.add_parser("summarize", help="digest of a capture file")
+    sum_p.add_argument("capture", help="capture JSONL from 'run --trace-out'")
+    sum_p.add_argument("--top", type=int, default=10,
+                       help="profiler sites to show")
+    sum_p.set_defaults(func=cmd_trace_summarize)
+    exp_p = trace_sub.add_parser(
+        "export", help="capture -> schema-validated Chrome trace-event JSON"
+    )
+    exp_p.add_argument("capture", help="capture JSONL from 'run --trace-out'")
+    exp_p.add_argument("-o", "--out", default="trace.json",
+                       help="Chrome trace JSON path")
+    exp_p.set_defaults(func=cmd_trace_export)
+
     from repro.bench.cli import configure_parser as configure_bench_parser
-
-    configure_bench_parser(bench_p)
-
-    timeline_p = sub.add_parser(
-        "timeline", help="windowed sim-time telemetry (see docs/TIMELINE.md)"
-    )
+    from repro.prefetch.cli import configure_parser as configure_prefetch_parser
     from repro.timeline.cli import configure_parser as configure_timeline_parser
 
-    configure_timeline_parser(timeline_p)
-
-    prefetch_p = sub.add_parser(
+    configure_bench_parser(sub.add_parser(
+        "bench", help="performance benchmarking (see docs/BENCHMARKING.md)"
+    ))
+    configure_timeline_parser(sub.add_parser(
+        "timeline", help="windowed sim-time telemetry (see docs/TIMELINE.md)"
+    ), shared)
+    configure_prefetch_parser(sub.add_parser(
         "prefetch",
         help="prefetch lifecycle observability (see docs/PREFETCH.md)",
-    )
-    from repro.prefetch.cli import configure_parser as configure_prefetch_parser
-
-    configure_prefetch_parser(prefetch_p)
+    ), shared)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # Missing or garbage input files and unwritable outputs fail
+        # cleanly: 2 = usage/IO error, matching the repro.check CLI.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ Three layers (see docs/BENCHMARKING.md):
   :mod:`repro.bench.harness` runs them with warmup detection and
   bootstrap confidence intervals, :mod:`repro.bench.clock` isolates the
   wall-clock reads so the determinism lint stays clean.
-* **Attribution** — ``repro bench profile`` drives the hierarchical
-  :class:`repro.engine.profiler.EventLoopProfiler` and exports flame
-  stacks / Chrome traces.
+* **Attribution** — ``repro run --profile`` drives the hierarchical
+  :class:`repro.engine.profiler.EventLoopProfiler`; ``--flame`` writes
+  its flame stacks and ``--trace-out`` carries it into the Chrome trace.
 * **Trajectory** — :mod:`repro.bench.schema` defines ``BENCH_<n>.json``,
   :mod:`repro.bench.compare` gates regressions, and
   :mod:`repro.bench.report` renders the dashboard.

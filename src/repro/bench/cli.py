@@ -1,4 +1,4 @@
-"""``repro bench`` — run, validate, compare, report, profile.
+"""``repro bench`` — run, validate, compare, report.
 
 Subcommands::
 
@@ -6,11 +6,10 @@ Subcommands::
     repro bench validate BENCH_5.json
     repro bench compare BENCH_4.json BENCH_5.json [--report diff.md]
     repro bench report [--root .] [--markdown]
-    repro bench profile [--workload 4C-1] [--flame out.folded] [--chrome out.json]
 
-Also reachable as ``python -m repro.bench``.  Exit codes: 0 ok,
-1 regression / invalid schema, 2 usage or I/O error (matching
-``repro.check`` and ``repro.trace``).
+Exit codes: 0 ok, 1 regression / invalid schema, 2 usage or I/O error
+(matching ``repro.check``).  One run's event-loop profile is
+``repro run --profile`` (see docs/BENCHMARKING.md).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import List
 
 from repro.bench.compare import compare_docs
 from repro.bench.harness import HarnessConfig, ScenarioResult, run_suite
@@ -30,23 +29,6 @@ from repro.bench.schema import (
     save_bench,
 )
 from repro.bench.scenarios import SCENARIOS, resolve_scenarios
-
-
-def _guarded(
-    func: Callable[[argparse.Namespace], int],
-) -> Callable[[argparse.Namespace], int]:
-    """Turn I/O and schema errors into exit code 2 regardless of whether
-    the command is reached via ``python -m repro bench`` or
-    ``python -m repro.bench``."""
-
-    def wrapper(args: argparse.Namespace) -> int:
-        try:
-            return func(args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    return wrapper
 
 
 def _format_results(results: List[ScenarioResult]) -> str:
@@ -138,52 +120,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    from repro.__main__ import _build_config
-    from repro.engine.profiler import EventLoopProfiler, parse_collapsed
-    from repro.system import System
-    from repro.telemetry import (
-        Tracer,
-        build_capture,
-        validate_chrome_trace,
-        write_chrome_trace,
-    )
-    from repro.workloads.multiprog import workload_programs
-
-    programs = workload_programs(args.workload)
-    config = _build_config(args, args.system)
-    tracer = Tracer() if args.chrome else None
-    machine = System(config, programs, tracer=tracer)
-    profiler = EventLoopProfiler()
-    machine.sim.profiler = profiler
-    result = machine.run()
-    print(profiler.tree_report(limit=args.top))
-    if args.flame:
-        lines = profiler.to_collapsed()
-        text = "\n".join(lines) + ("\n" if lines else "")
-        # Round-trip through the parser: a file we cannot re-read is a bug.
-        parse_collapsed(text)
-        Path(args.flame).write_text(text, encoding="utf-8")
-        print(f"\nflame stacks -> {args.flame} ({len(lines)} stacks; "
-              f"feed to flamegraph.pl / speedscope)")
-    if args.chrome:
-        assert tracer is not None
-        capture = build_capture(
-            result, tracer,
-            check_events=machine.controller.collect_check_events(),
-            profile=profiler.to_records() + profiler.stack_records(),
-        )
-        doc = write_chrome_trace(args.chrome, capture)
-        problems = validate_chrome_trace(doc)
-        if problems:
-            for problem in problems[:10]:
-                print(f"INVALID: {problem}", file=sys.stderr)
-            return 1
-        print(f"chrome trace -> {args.chrome} (schema OK, includes the "
-              f"profiler track)")
-    return 0
-
-
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach the bench subcommands to ``parser`` (the ``bench`` node)."""
     sub = parser.add_subparsers(dest="bench_command", required=True)
@@ -214,11 +150,11 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                        help="output path (default BENCH_<index>.json)")
     run_p.add_argument("--no-heartbeat", action="store_true",
                        help="suppress per-trial progress lines")
-    run_p.set_defaults(func=_guarded(cmd_run))
+    run_p.set_defaults(func=cmd_run)
 
     val_p = sub.add_parser("validate", help="schema-check one BENCH file")
     val_p.add_argument("bench")
-    val_p.set_defaults(func=_guarded(cmd_validate))
+    val_p.set_defaults(func=cmd_validate)
 
     cmp_p = sub.add_parser(
         "compare", help="diff two BENCH files; exit 1 on regression"
@@ -233,7 +169,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                        help="treat simulated-count changes as regressions")
     cmp_p.add_argument("--report", default=None, metavar="PATH",
                        help="also write a markdown report")
-    cmp_p.set_defaults(func=_guarded(cmd_compare))
+    cmp_p.set_defaults(func=cmd_compare)
 
     rep_p = sub.add_parser(
         "report", help="render the BENCH_* trajectory dashboard"
@@ -241,47 +177,4 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     rep_p.add_argument("--root", default=".",
                        help="directory holding BENCH_<n>.json files")
     rep_p.add_argument("--markdown", action="store_true")
-    rep_p.set_defaults(func=_guarded(cmd_report))
-
-    prof_p = sub.add_parser(
-        "profile", help="hierarchical event-loop profile of one run"
-    )
-    prof_p.add_argument("--workload", default="4C-1")
-    prof_p.add_argument("--system", choices=("ddr2", "fbd", "fbd-ap"),
-                        default="fbd-ap")
-    prof_p.add_argument("--insts", type=int, default=50_000)
-    prof_p.add_argument("--seed", type=int, default=12345)
-    prof_p.add_argument("--no-sw-prefetch", action="store_true")
-    prof_p.add_argument("--device", choices=device_names(),
-                        default="ddr2-667",
-                        help="DRAM device generation preset")
-    prof_p.add_argument("--k", type=int, default=4)
-    prof_p.add_argument("--entries", type=int, default=64)
-    prof_p.add_argument("--assoc",
-                        choices=("direct", "2way", "4way", "full"),
-                        default="full")
-    prof_p.add_argument("--top", type=int, default=15,
-                        help="callback sites to list")
-    prof_p.add_argument("--flame", default=None, metavar="PATH",
-                        help="write collapsed-stack flame file")
-    prof_p.add_argument("--chrome", default=None, metavar="PATH",
-                        help="write Chrome trace with the profiler track")
-    prof_p.set_defaults(func=_guarded(cmd_profile))
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Simulator performance benchmarking and profiling.",
-    )
-    configure_parser(parser)
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    rep_p.set_defaults(func=cmd_report)

@@ -1,7 +1,7 @@
 """The bench subsystem's only wall-clock access point.
 
 Everything in :mod:`repro.bench` measures *host* time — that is the
-quantity under study — but the determinism lint (``repro.check --lint``)
+quantity under study — but the determinism lint (``repro.check lint``)
 rightly treats stray wall-clock reads as a smell.  Concentrating every
 read here keeps the rest of the benchmarking code clock-free and makes
 the suppression surface exactly one module wide.

@@ -10,8 +10,6 @@ Modes (combinable; default with no flags is trace checking):
   rules; see :mod:`repro.check.lint.cli` for its options);
 * ``--self-test`` — run the golden known-bad suites (seeded protocol
   traces and seeded lint fixtures);
-* ``--lint [PATH ...]`` — the four legacy determinism rules only
-  (defaults to the installed ``repro`` sources);
 * ``--audit-configs`` — cross-field audit of the standard factory
   configurations.
 
@@ -26,7 +24,6 @@ from pathlib import Path
 from typing import List
 
 from repro.check.config_audit import audit_system, errors_only
-from repro.check.determinism import lint_file, lint_tree, repro_source_root
 from repro.check.lint.selftest import run_self_test as run_lint_self_test
 from repro.check.protocol import ProtocolChecker
 from repro.check.selftest import run_self_test
@@ -55,29 +52,6 @@ def _check_traces(paths: List[str]) -> int:
         else:
             print(f"{path}: OK ({len(events)} events, {params.kind})")
     return status
-
-
-def _run_lint(paths: List[str]) -> int:
-    findings = []
-    if paths:
-        for raw in paths:
-            path = Path(raw)
-            try:
-                if path.is_dir():
-                    findings.extend(lint_tree(path))
-                else:
-                    findings.extend(lint_file(path))
-            except OSError as exc:
-                print(f"{path}: cannot lint: {exc}")
-                return EXIT_USAGE
-    else:
-        root = repro_source_root()
-        print(f"linting {root}")
-        findings.extend(lint_tree(root))
-    for finding in findings:
-        print(finding.format())
-    print(f"determinism lint: {len(findings)} finding(s)")
-    return EXIT_FINDINGS if findings else EXIT_CLEAN
 
 
 def _run_audit() -> int:
@@ -113,15 +87,7 @@ def _run_self_test() -> int:
     return EXIT_FINDINGS if failures else EXIT_CLEAN
 
 
-def main(argv: List[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # The full rule engine has its own CLI (baseline, JSON, rule
-        # selection); everything below is the legacy flag interface.
-        from repro.check.lint.cli import main as lint_main
-
-        return lint_main(argv[1:])
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check",
         description="DDR2/FB-DIMM protocol checker and simulator lints",
@@ -135,13 +101,22 @@ def main(argv: List[str] | None = None) -> int:
         help="run the golden known-bad trace suite",
     )
     parser.add_argument(
-        "--lint", nargs="*", metavar="PATH", default=None,
-        help="determinism lint over PATHs (default: repro sources)",
-    )
-    parser.add_argument(
         "--audit-configs", action="store_true",
         help="audit the standard factory configurations",
     )
+    return parser
+
+
+def main(argv: List[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] == "lint":
+        # The rule engine has its own CLI (baseline, JSON, rule
+        # selection); everything below is the checker's flag interface.
+        from repro.check.lint.cli import main as lint_main
+
+        return lint_main(argv[1:])
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     selected = False
@@ -149,9 +124,6 @@ def main(argv: List[str] | None = None) -> int:
     if args.self_test:
         selected = True
         status = max(status, _run_self_test())
-    if args.lint is not None:
-        selected = True
-        status = max(status, _run_lint(args.lint))
     if args.audit_configs:
         selected = True
         status = max(status, _run_audit())
@@ -161,8 +133,8 @@ def main(argv: List[str] | None = None) -> int:
     if not selected:
         parser.print_usage(sys.stderr)
         print(
-            "error: nothing to do — pass a trace file or one of "
-            "--self-test/--lint/--audit-configs",
+            "error: nothing to do — pass a trace file, 'lint', "
+            "--self-test or --audit-configs",
             file=sys.stderr,
         )
         return EXIT_USAGE

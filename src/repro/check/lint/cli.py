@@ -27,6 +27,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.check.lint.baseline import (
@@ -71,7 +72,14 @@ def _print_catalogue(rules: Sequence[Rule]) -> None:
               f"{rule.description}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def repro_source_root() -> Path:
+    """The installed location of the ``repro`` package sources."""
+    import repro
+
+    return Path(repro.__file__).resolve().parent
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.check lint",
         description="simulator-domain static analysis (rule engine)",
@@ -104,7 +112,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     try:
         rules = _select_rules(args.rules)
@@ -121,8 +133,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.paths:
             findings = engine.lint_paths(args.paths)
         else:
-            from repro.check.determinism import repro_source_root
-
             root = repro_source_root()
             print(f"linting {root}")
             findings = engine.lint_paths([root])
@@ -186,6 +196,3 @@ def _print_human(
         f"{'y' if len(stale) == 1 else 'ies'}"
     )
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,9 +1,10 @@
-"""The four determinism rules, ported from the original PR-1 lint.
+"""The four determinism rules: ``wall-clock``, ``unseeded-random``,
+``set-iteration`` and ``float-time``.
 
-Rule ids, messages and golden outputs are unchanged from
-``repro.check.determinism``; that module is now a thin shim that runs
-exactly these rules.  Each rule keeps the legacy ``# det: allow``
-suppression marker working alongside ``# repro: ignore[rule-id]``.
+``python -m repro.check lint --rules
+wall-clock,unseeded-random,set-iteration,float-time`` runs exactly these
+rules.  Each keeps the legacy ``# det: allow`` suppression marker
+working alongside ``# repro: ignore[rule-id]``.
 """
 
 from __future__ import annotations

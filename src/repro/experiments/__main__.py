@@ -53,7 +53,9 @@ EXPERIMENTS = {
     "fig05": lambda ctx: (
         lambda t: [t, fig05_bw_latency.group_means(t)]
     )(fig05_bw_latency.run(ctx)),
-    "fig06": lambda ctx: [fig06_bandwidth_impact.run(ctx)],
+    "fig06": lambda ctx: (
+        lambda t: [t, fig06_bandwidth_impact.group_gains(t)]
+    )(fig06_bandwidth_impact.run(ctx)),
     "fig07": lambda ctx: (
         lambda t: [t, fig07_amb_speedup.group_means(t)]
     )(fig07_amb_speedup.run(ctx)),
@@ -96,7 +98,7 @@ PLANS = {
 }
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate the paper's tables and figures.",
@@ -121,7 +123,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run-cache directory (default .repro-cache)")
     parser.add_argument("--cache-report", metavar="PATH",
                         help="write cache/run statistics as JSON (CI artifact)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
 
     export_dir = None
     if args.export:

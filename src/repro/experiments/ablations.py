@@ -124,14 +124,3 @@ def run_replacement(ctx: ExperimentContext) -> ResultTable:
             lru=mean(values[ReplacementPolicy.LRU]),
         )
     return table
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    for fn in (run_vrl, run_page_interleave, run_replacement):
-        print(fn(ctx).format())
-        print()
-
-
-if __name__ == "__main__":
-    main()

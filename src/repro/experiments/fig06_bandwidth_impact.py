@@ -65,6 +65,24 @@ def run(ctx: ExperimentContext) -> ResultTable:
     return table
 
 
+def group_gains(table: ResultTable) -> ResultTable:
+    """FB-DIMM's speedup gains per core count (the paper's summary sentences)."""
+    summary = ResultTable(
+        title="Figure 6 summary: FB-DIMM speedup gain per core count",
+        columns=["cores", "rate_533_to_667", "channels_1_to_2", "channels_2_to_4"],
+    )
+    for cores in CORE_COUNTS:
+        if not any(row["cores"] == cores for row in table.rows):
+            continue
+        summary.add(
+            cores=cores,
+            rate_533_to_667=gain(table, "fbdimm", cores),
+            channels_1_to_2=channel_gain(table, "fbdimm", cores),
+            channels_2_to_4=channel_gain(table, "fbdimm", cores, ch_from=2, ch_to=4),
+        )
+    return summary
+
+
 def gain(table: ResultTable, system: str, cores: int, *,
          rate_from: int = 533, rate_to: int = 667, channels: int = 2) -> float:
     """Speedup gain from raising the data rate at fixed channel count."""
@@ -91,19 +109,3 @@ def _cell(table: ResultTable, system: str, rate: int, channels: int, cores: int)
         ):
             return float(row["speedup"])
     raise KeyError((system, rate, channels, cores))
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    table = run(ctx)
-    print(table.format())
-    for cores in CORE_COUNTS:
-        print(
-            f"cores={cores}: FBD 533->667 gain {gain(table, 'fbdimm', cores):.3f}, "
-            f"1->2 channels {channel_gain(table, 'fbdimm', cores):.3f}, "
-            f"2->4 channels {channel_gain(table, 'fbdimm', cores, ch_from=2, ch_to=4):.3f}"
-        )
-
-
-if __name__ == "__main__":
-    main()

@@ -63,15 +63,3 @@ def group_means(table: ResultTable) -> ResultTable:
         ap = mean([float(r["fbd_ap"]) for r in rows])
         summary.add(cores=cores, fbd=fbd, fbd_ap=ap, improvement=ap / fbd - 1.0)
     return summary
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    table = run(ctx)
-    print(table.format())
-    print()
-    print(group_means(table).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -113,12 +113,3 @@ def lifecycle_crosscheck(ctx: ExperimentContext) -> List[str]:
                         f" != legacy {legacy!r}"
                     )
     return problems
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    print(run(ctx).format())
-
-
-if __name__ == "__main__":
-    main()

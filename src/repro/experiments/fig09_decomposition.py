@@ -73,12 +73,3 @@ def run(ctx: ExperimentContext) -> ResultTable:
             latency_gain=ap / apfl - 1.0,
         )
     return table
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    print(run(ctx).format())
-
-
-if __name__ == "__main__":
-    main()

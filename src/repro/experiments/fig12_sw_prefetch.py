@@ -73,12 +73,3 @@ def run(ctx: ExperimentContext) -> ResultTable:
         expected = 1.0 + (sp - 1.0) + (ap - 1.0)
         table.add(cores=cores, sp=sp, ap=ap, ap_sp=ap_sp, additivity=ap_sp / expected)
     return table
-
-
-def main() -> None:
-    ctx = ExperimentContext()
-    print(run(ctx).format())
-
-
-if __name__ == "__main__":
-    main()

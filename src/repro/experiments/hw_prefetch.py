@@ -66,11 +66,3 @@ def run(ctx: ExperimentContext) -> ResultTable:
             ap_gain_with_hw=mean(hw_gains) - 1.0,
         )
     return table
-
-
-def main() -> None:
-    print(run(ExperimentContext()).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -80,11 +80,3 @@ def run(ctx: Optional[ExperimentContext] = None) -> ResultTable:
         system="FBD-AP", case="amb hit", latency_ns=_idle_read_latency_ns(ap, [0, 1])
     )
     return table
-
-
-def main() -> None:
-    print(run().format())
-
-
-if __name__ == "__main__":
-    main()

@@ -71,11 +71,3 @@ def run(ctx: ExperimentContext) -> ResultTable:
             controller_bw_gbs=mean(mc_bw),
         )
     return table
-
-
-def main() -> None:
-    print(run(ExperimentContext()).format())
-
-
-if __name__ == "__main__":
-    main()

@@ -12,6 +12,7 @@ Regenerate after an intentional model change::
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 from pathlib import Path
@@ -108,13 +109,15 @@ def compare() -> List[str]:
     return problems
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser()
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="python -m repro.experiments.regression")
     parser.add_argument("--update", action="store_true",
                         help="regenerate goldens.json from current behaviour")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     if args.update:
         save_goldens(capture())
         print(f"wrote {GOLDEN_PATH}")

@@ -256,17 +256,12 @@ class ExperimentContext:
     def _run_traced(
         self, config: SystemConfig, programs: Tuple[str, ...]
     ) -> SimulationResult:
-        from repro.system import System
-        from repro.telemetry import Tracer, build_capture, save_capture
+        from repro.__main__ import observed_run
+        from repro.telemetry import save_capture
 
         assert self.trace_dir is not None
-        tracer = Tracer()
-        machine = System(config, programs, tracer=tracer)
-        result = machine.run()
-        capture = build_capture(
-            result, tracer,
-            check_events=machine.controller.collect_check_events(),
-        )
+        result, capture, _ = observed_run(config, programs, trace=True)
+        assert capture is not None
         self.trace_dir.mkdir(parents=True, exist_ok=True)
         stem = f"run-{self.fresh_runs:03d}-{'+'.join(programs)}"
         save_capture(self.trace_dir / f"{stem}.jsonl", capture)

@@ -90,13 +90,3 @@ def run_pointer_chase(ctx: Optional[ExperimentContext] = None) -> ResultTable:
         result = System.from_traces(config, [trace], base_ipcs=[2.0]).run()
         table.add(system=label, latency_ns=result.avg_read_latency_ns)
     return table
-
-
-def main() -> None:
-    print(run_saturation().format())
-    print()
-    print(run_pointer_chase().format())
-
-
-if __name__ == "__main__":
-    main()

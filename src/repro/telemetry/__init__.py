@@ -13,7 +13,9 @@ Quickstart::
     )
     write_chrome_trace("trace.json", capture)   # open in Perfetto
 
-See ``docs/OBSERVABILITY.md`` and ``python -m repro.trace --help``.
+From the shell: ``python -m repro run --trace-out cap.jsonl`` records a
+capture and ``python -m repro trace export cap.jsonl`` renders it; see
+``docs/OBSERVABILITY.md``.
 """
 
 from repro.telemetry.export import (

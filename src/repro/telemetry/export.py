@@ -5,7 +5,9 @@ Two output formats:
 * **capture JSONL** — the raw recording: a header line (version, run
   metadata, final metrics snapshot) followed by one record per request
   trace, DRAM/frame command (same short field codes as the
-  :mod:`repro.check.trace` files), queue sample and profiler site.
+  :mod:`repro.check.trace` files), profiler site and timeline window.
+  Older captures may also hold ``sample`` records from the retired
+  fixed-period queue sampler; :func:`load_capture` skips them.
 * **Chrome trace-event JSON** — ``{"traceEvents": [...]}``, loadable in
   Perfetto / ``chrome://tracing``: one process per channel/DIMM with a
   thread per bank (command and burst spans), one process per channel's
@@ -57,7 +59,6 @@ class TelemetryCapture:
     requests: List[RequestTrace] = field(default_factory=list)
     prefetches: List[PrefetchTrace] = field(default_factory=list)
     commands: List[CheckEvent] = field(default_factory=list)
-    samples: List[Dict[str, object]] = field(default_factory=list)
     profile: List[Dict[str, object]] = field(default_factory=list)
     #: Encoded WindowRecord dicts from a timeline-enabled run.
     timeline: List[Dict[str, object]] = field(default_factory=list)
@@ -100,7 +101,6 @@ def build_capture(
     result: "SimulationResult",
     tracer: Tracer,
     check_events: Optional[List[CheckEvent]] = None,
-    samples: Optional[List[Dict[str, object]]] = None,
     profile: Optional[List[Dict[str, object]]] = None,
 ) -> TelemetryCapture:
     """Assemble a capture from a finished traced run.
@@ -128,7 +128,6 @@ def build_capture(
         requests=tracer.traces(),
         prefetches=list(tracer.prefetches),
         commands=sorted(check_events or [], key=lambda e: e.time_ps),
-        samples=list(samples or []),
         profile=list(profile or []),
         timeline=timeline,
     )
@@ -161,9 +160,6 @@ def save_capture(path: Union[str, Path], capture: TelemetryCapture) -> int:
             record: Dict[str, object] = {"type": "cmd"}
             record.update(event_to_record(event))
             handle.write(json.dumps(record) + "\n")
-            count += 1
-        for sample in capture.samples:
-            handle.write(json.dumps({"type": "sample", **sample}) + "\n")
             count += 1
         for site in capture.profile:
             handle.write(json.dumps({"type": "profile", **site}) + "\n")
@@ -201,7 +197,7 @@ def load_capture(path: Union[str, Path]) -> TelemetryCapture:
                 elif kind == "cmd":
                     capture.commands.append(record_to_event(record))
                 elif kind == "sample":
-                    capture.samples.append(record)
+                    continue  # retired fixed-period queue sampler
                 elif kind == "profile":
                     capture.profile.append(record)
                 elif kind == "window":
@@ -585,13 +581,6 @@ def summarize_capture(capture: TelemetryCapture, top_sites: int = 10) -> str:
         if filled:
             line += f", mean fill latency {fill_sum / filled / 1000:.1f} ns"
         lines.append(line)
-
-    if capture.samples:
-        depths = [int(s.get("queued_requests", 0)) for s in capture.samples]
-        lines.append(
-            f"queue samples: {len(depths)}, mean depth "
-            f"{sum(depths) / len(depths):.2f}, peak {max(depths)}"
-        )
 
     if capture.metrics:
         lines.append("metrics:")

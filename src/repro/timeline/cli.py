@@ -7,9 +7,8 @@ Subcommands::
     repro timeline export tl.jsonl --csv tl.csv [--chrome tl-trace.json]
     repro timeline diff base.jsonl ap.jsonl --labels base,ap
 
-Also reachable as ``python -m repro.timeline``.  Exit codes follow the
-repo convention: 0 ok, 1 failed validation / mismatched diff grids,
-2 usage or I/O error.
+Exit codes follow the repo convention: 0 ok, 1 failed validation /
+mismatched diff grids, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, List, Optional
 
 from repro.timeline.diff import diff_timelines, format_diff
 from repro.timeline.export import (
@@ -27,21 +25,6 @@ from repro.timeline.export import (
     write_timeline_jsonl,
 )
 from repro.timeline.report import timeline_report
-
-
-def _guarded(
-    func: Callable[[argparse.Namespace], int],
-) -> Callable[[argparse.Namespace], int]:
-    """I/O and schema errors exit 2 (same contract as repro.bench)."""
-
-    def wrapper(args: argparse.Namespace) -> int:
-        try:
-            return func(args)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    return wrapper
 
 
 def cmd_record(args: argparse.Namespace) -> int:
@@ -142,36 +125,30 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the timeline subcommands (shared with python -m repro)."""
+def configure_parser(
+    parser: argparse.ArgumentParser, shared: argparse.ArgumentParser
+) -> None:
+    """Attach the timeline subcommands; ``shared`` holds the run knobs."""
     sub = parser.add_subparsers(dest="timeline_command", required=True)
 
     record_p = sub.add_parser(
-        "record", help="run one system with the timeline on and save JSONL"
+        "record", parents=[shared],
+        help="run one system with the timeline on and save JSONL",
     )
-    record_p.add_argument("--workload", default="4C-1")
     record_p.add_argument("--system", choices=("ddr2", "fbd", "fbd-ap"),
                           default="fbd-ap")
-    record_p.add_argument("--insts", type=int, default=50_000)
-    record_p.add_argument("--seed", type=int, default=12345)
-    record_p.add_argument("--no-sw-prefetch", action="store_true")
-    record_p.add_argument("--k", type=int, default=4)
-    record_p.add_argument("--entries", type=int, default=64)
-    record_p.add_argument("--assoc",
-                          choices=("direct", "2way", "4way", "full"),
-                          default="full")
     record_p.add_argument("--window-ns", type=float, default=1000.0,
                           help="timeline window length in sim-time ns")
     record_p.add_argument("--out", default="timeline.jsonl",
                           help="JSONL output path")
     record_p.add_argument("--csv", default=None, help="also write a CSV")
-    record_p.set_defaults(func=_guarded(cmd_record))
+    record_p.set_defaults(func=cmd_record)
 
     report_p = sub.add_parser("report", help="render a recorded timeline")
     report_p.add_argument("path")
     report_p.add_argument("--width", type=int, default=60,
                           help="sparkline width in characters")
-    report_p.set_defaults(func=_guarded(cmd_report))
+    report_p.set_defaults(func=cmd_report)
 
     export_p = sub.add_parser(
         "export", help="convert a recorded timeline to CSV / Chrome trace"
@@ -180,7 +157,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     export_p.add_argument("--csv", default=None)
     export_p.add_argument("--chrome", default=None,
                           help="Chrome trace-event JSON with counter tracks")
-    export_p.set_defaults(func=_guarded(cmd_export))
+    export_p.set_defaults(func=cmd_export)
 
     diff_p = sub.add_parser(
         "diff", help="align two recorded timelines window-by-window"
@@ -190,14 +167,5 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     diff_p.add_argument("--labels", default=None,
                         help="two comma-separated run names, e.g. base,ap")
     diff_p.add_argument("--width", type=int, default=60)
-    diff_p.set_defaults(func=_guarded(cmd_diff))
+    diff_p.set_defaults(func=cmd_diff)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.timeline",
-        description="windowed sim-time telemetry (see docs/TIMELINE.md)",
-    )
-    configure_parser(parser)
-    args = parser.parse_args(argv)
-    return args.func(args)

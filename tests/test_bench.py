@@ -333,30 +333,30 @@ class TestReport:
 
 class TestCli:
     def test_validate_compare_report_end_to_end(self, bench_doc, tmp_path, capsys):
-        from repro.bench.cli import main
+        from repro.__main__ import main
 
         old = tmp_path / "BENCH_5.json"
         save_bench(old, bench_doc)
         bad = tmp_path / "BENCH_6.json"
         save_bench(bad, dict(degrade(bench_doc, 0.7), index=6))
 
-        assert main(["validate", str(old)]) == 0
-        assert main(["compare", str(old), str(old)]) == 0
+        assert main(["bench", "validate", str(old)]) == 0
+        assert main(["bench", "compare", str(old), str(old)]) == 0
         report = tmp_path / "diff.md"
         assert main(
-            ["compare", str(old), str(bad), "--report", str(report)]
+            ["bench", "compare", str(old), str(bad), "--report", str(report)]
         ) == 1
         assert "FAIL" in report.read_text()
-        assert main(["report", "--root", str(tmp_path)]) == 0
+        assert main(["bench", "report", "--root", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "performance trajectory" in out
 
     def test_validate_rejects_corrupt_file(self, tmp_path, capsys):
-        from repro.bench.cli import main
+        from repro.__main__ import main
 
         path = tmp_path / "BENCH_9.json"
         path.write_text('{"format": "wrong"}')
-        assert main(["validate", str(path)]) == 1
+        assert main(["bench", "validate", str(path)]) == 1
         assert "INVALID" in capsys.readouterr().err
 
     def test_main_parser_routes_bench(self):
@@ -377,12 +377,17 @@ class TestCli:
         assert parser.parse_args(["run", "--profile", "5"]).profile == 5
 
 
+#: The four determinism rules, as ``python -m repro.check lint --rules``.
+DETERMINISM_RULES = ("wall-clock", "unseeded-random", "set-iteration", "float-time")
+
+
 class TestClockIsolation:
     def test_bench_package_passes_determinism_lint(self):
         from pathlib import Path
 
-        from repro.check.determinism import lint_tree
+        from repro.check.lint import LintEngine, get_rule
 
         root = Path(__file__).resolve().parents[1] / "src" / "repro" / "bench"
-        findings = lint_tree(root)
+        engine = LintEngine([get_rule(rule_id) for rule_id in DETERMINISM_RULES])
+        findings = engine.lint_paths([root])
         assert findings == [], [f.format() for f in findings]

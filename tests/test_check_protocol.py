@@ -159,6 +159,9 @@ class TestCli:
     def test_lint_flags_wall_clock(self, tmp_path):
         victim = tmp_path / "victim.py"
         victim.write_text("import time\n\nstart = time.time()\n")
-        proc = self._run("--lint", str(victim))
+        proc = self._run(
+            "lint", "--rules", "wall-clock,unseeded-random,set-iteration,float-time",
+            str(victim),
+        )
         assert proc.returncode == 1
         assert "wall-clock" in proc.stdout

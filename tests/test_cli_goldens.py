@@ -31,6 +31,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
+
 INSTS = "3000"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -159,16 +161,6 @@ GOLDENS = {
 }
 
 
-def main(argv):
-    if argv[0] == "trace":
-        from repro.trace import main as trace_main
-
-        return trace_main(argv[1:])
-    from repro.__main__ import main as repro_main
-
-    return repro_main(argv)
-
-
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -206,6 +198,25 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_is_byte_identical(digests, case):
     assert digests[case] == GOLDENS[case]
+
+
+def test_run_profile_writes_flame_and_profiled_capture(tmp_path, capsys):
+    """Profiling through the CLI; wall times vary, so nothing is pinned."""
+    from repro.engine.profiler import parse_collapsed
+    from repro.telemetry import load_capture
+
+    flame = tmp_path / "run.folded"
+    capture = tmp_path / "run.jsonl"
+    code = main(["run", "--workload", "swim", "--insts", INSTS,
+                 "--profile", "5", "--flame", str(flame),
+                 "--trace-out", str(capture)])
+    assert code == 0
+    assert "flame stacks ->" in capsys.readouterr().out
+    assert parse_collapsed(flame.read_text())
+    assert load_capture(capture).profile
+    assert main(["trace", "export", str(capture),
+                 "-o", str(tmp_path / "run.trace.json")]) == 0
+    assert "schema: OK" in capsys.readouterr().out
 
 
 if __name__ == "__main__":

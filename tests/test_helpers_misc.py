@@ -39,6 +39,14 @@ class TestFig06Helpers:
         with pytest.raises(KeyError):
             fig06.gain(self.table(), "ddr2", 4)
 
+    def test_group_gains_summarises_each_core_count(self):
+        summary = fig06.group_gains(self.table())
+        [row] = summary.rows
+        assert row["cores"] == 4
+        assert row["rate_533_to_667"] == pytest.approx(1.2)
+        assert row["channels_1_to_2"] == pytest.approx(1.5)
+        assert row["channels_2_to_4"] == pytest.approx(1.25)
+
 
 class TestContextSpeedupVs:
     def test_speedup_vs_baseline(self):

@@ -246,6 +246,21 @@ class TestCaptureAndChromeTrace:
         assert len(back.commands) == len(capture.commands)
         assert back.metrics.keys() == capture.metrics.keys()
 
+    def test_load_skips_retired_sample_records(self, tmp_path):
+        # Captures from the retired fixed-period queue sampler interleave
+        # "sample" records; they still load, with the samples dropped.
+        capture = self._capture()
+        path = tmp_path / "cap.jsonl"
+        save_capture(path, capture)
+        header, *records = path.read_text().splitlines()
+        sample = {"type": "sample", "time_ps": 50_000, "queued_requests": 3,
+                  "inflight_reads": 2, "inflight_writes": 1, "backlog": 0}
+        path.write_text("\n".join([header, json.dumps(sample), *records]) + "\n")
+        back = load_capture(path)
+        assert len(back.requests) == len(capture.requests)
+        assert len(back.commands) == len(capture.commands)
+        assert not hasattr(back, "samples")
+
     def test_load_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"version": 1, "params": {}}\n')

@@ -1,11 +1,11 @@
-"""End-to-end tests of ``python -m repro.trace`` and ``--trace-out``."""
+"""End-to-end tests of ``repro run --trace-out`` and ``repro trace``."""
 
 import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.telemetry import load_capture, validate_chrome_trace
-from repro.trace import main as trace_main
 
 RUN_ARGS = ["--workload", "2C-1", "--insts", "3000"]
 
@@ -13,9 +13,9 @@ RUN_ARGS = ["--workload", "2C-1", "--insts", "3000"]
 @pytest.fixture(scope="module")
 def capture_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "cap.jsonl"
-    code = trace_main(
-        ["record", *RUN_ARGS, "--profile", "--sample-ns", "100",
-         "-o", str(path)]
+    code = main(
+        ["run", *RUN_ARGS, "--profile", "--timeline-ns", "100",
+         "--trace-out", str(path)]
     )
     assert code == 0
     return path
@@ -26,34 +26,28 @@ class TestRecord:
         capture = load_capture(capture_path)
         assert capture.meta["programs"] == ["wupwise", "swim"]
         assert capture.requests and capture.commands
-        assert capture.samples, "--sample-ns must record queue samples"
+        assert capture.timeline, "--timeline-ns must record windows"
+        assert any(w["queue_depth"] > 0 for w in capture.timeline), \
+            "the windows carry the queue-depth series"
         assert capture.profile, "--profile must record event-loop sites"
         assert "trace.latency_ps" in capture.metrics
-        assert "sample.queue_depth" in capture.metrics
 
     def test_summarize_prints_digest(self, capture_path, capsys):
-        assert trace_main(["summarize", str(capture_path)]) == 0
+        assert main(["trace", "summarize", str(capture_path)]) == 0
         out = capsys.readouterr().out
         assert "request traces" in out
-        assert "queue samples" in out
         assert "event-loop profile" in out
 
 
 class TestExport:
     def test_export_from_capture(self, capture_path, tmp_path):
         out = tmp_path / "trace.json"
-        assert trace_main(["export", str(capture_path), "-o", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert validate_chrome_trace(doc) == []
-        names = {e["name"] for e in doc["traceEvents"]}
-        assert "ACT" in names and "read" in names
-
-    def test_export_records_inline_when_no_capture(self, tmp_path):
-        out = tmp_path / "direct.json"
-        code = trace_main(["export", *RUN_ARGS, "-o", str(out)])
+        code = main(["trace", "export", str(capture_path), "-o", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert validate_chrome_trace(doc) == []
+        names = {e["name"] for e in doc["traceEvents"]}
+        assert {"ACT", "read", "queue depth"} <= names
         # Acceptance shape: per-bank dram spans and request lifecycle spans.
         cats = {e.get("cat") for e in doc["traceEvents"]}
         assert {"dram", "request"} <= cats
@@ -61,22 +55,20 @@ class TestExport:
 
 class TestErrorPaths:
     def test_missing_capture_fails_cleanly(self, capsys):
-        assert trace_main(["summarize", "/no/such/file.jsonl"]) == 2
+        assert main(["trace", "summarize", "/no/such/file.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_garbage_capture_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "garbage.jsonl"
         path.write_text('{"version": 1, "params": {}}\n')
-        assert trace_main(["export", str(path)]) == 2
+        assert main(["trace", "export", str(path)]) == 2
         assert "not a telemetry capture" in capsys.readouterr().err
 
 
 class TestMainCliTraceOut:
     def test_run_trace_out_writes_capture(self, tmp_path, capsys):
-        from repro.__main__ import main as repro_main
-
         path = tmp_path / "run.jsonl"
-        code = repro_main([
+        code = main([
             "run", "--workload", "swim", "--insts", "3000",
             "--trace-out", str(path),
         ])
